@@ -11,10 +11,6 @@ given argv and input files; human summaries and timing go to stderr.  Exit
 codes: 0 success (for ``check``: irreducible; for ``derive``: found),
 1 the complementary answer (reducible / not derivable), 2 inconclusive
 within resource bounds, 64 usage errors, 65 clause or theory parse errors.
-
-The ``HORNREDUCE_WORKERS`` environment variable is accepted for interface
-stability but ignored: every search runs single-threaded so that results
-are deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from hornreduce.clauses import (
     ClauseParseError,
     HornClause,
     Theory,
-    canonical_form,
     canonical_key,
     parse_clause,
     parse_theory,
@@ -51,7 +46,7 @@ from hornreduce.reduction import (
     METHOD_PARTITION,
     OracleCapError,
     ReducibilityWitness,
-    extension_pairs,
+    extension_family,
     is_reducible,
     nonred_extend,
     reduce_fragment,
@@ -109,8 +104,15 @@ def _fragment_from_token(token: str) -> FragmentSpec:
         raise _UsageError(str(exc)) from exc
 
 
-def _parse_clause_arg(text: str) -> HornClause:
-    return parse_clause(text)
+def _non_negative_int(text: str) -> int:
+    """argparse type of the count and bound flags: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return value
 
 
 def _clause_lines(clauses) -> str:
@@ -178,7 +180,7 @@ def _witness_json(w: ReducibilityWitness) -> dict:
 
 
 def _cmd_check(ns) -> tuple[int, str, str]:
-    clause = _parse_clause_arg(ns.clause)
+    clause = parse_clause(ns.clause)
     arity_cap = ns.arity_cap if ns.arity_cap is not None else clause.max_arity()
     max_body = ns.max_body if ns.max_body is not None else \
         max(clause.body_size, 1)
@@ -211,7 +213,7 @@ def _cmd_check(ns) -> tuple[int, str, str]:
 
 def _cmd_derive(ns) -> tuple[int, str, str]:
     theory = _read_theory_file(ns.theory)
-    goal = _parse_clause_arg(ns.goal)
+    goal = parse_clause(ns.goal)
     res = search_derivation(theory, goal, ns.max_depth, mode=ns.mode,
                             max_body=ns.max_body, max_clauses=ns.max_clauses)
     payload = {"schema_version": SCHEMA_VERSION, "command": "derive",
@@ -242,7 +244,7 @@ def _dot_text(clause: HornClause) -> str:
 
 
 def _cmd_graph(ns) -> tuple[int, str, str]:
-    clause = _parse_clause_arg(ns.clause)
+    clause = parse_clause(ns.clause)
     if ns.dot:
         return EXIT_OK, _dot_text(clause), ""
     graph = clause_graph(clause)
@@ -260,7 +262,7 @@ def _cmd_graph(ns) -> tuple[int, str, str]:
 
 
 def _cmd_extend(ns) -> tuple[int, str, str]:
-    clause = _parse_clause_arg(ns.clause)
+    clause = parse_clause(ns.clause)
     if (ns.pairs is None) == (ns.depth is None):
         raise _UsageError("exactly one of --pairs or --depth is required")
     if ns.pairs is not None:
@@ -275,20 +277,7 @@ def _cmd_extend(ns) -> tuple[int, str, str]:
         except (ValueError, IndexError) as exc:
             raise _UsageError(str(exc)) from exc
         return EXIT_OK, str(ext) + "\n", "1 extension\n"
-    if ns.depth < 0:
-        raise _UsageError("--depth must not be negative")
-    level = {canonical_key(clause): canonical_form(clause)[0]}
-    for _ in range(ns.depth):
-        grown: dict = {}
-        for key in sorted(level):
-            m = level[key]
-            for i, j in extension_pairs(m):
-                e = nonred_extend(m, i, j)
-                k = canonical_key(e)
-                if k not in grown:
-                    grown[k] = canonical_form(e)[0]
-        level = grown
-    members = [level[k] for k in sorted(level)]
+    members = extension_family(clause, ns.depth)
     return (EXIT_OK, _clause_lines(members),
             f"{len(members)} extension(s) at depth {ns.depth}\n")
 
@@ -332,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment",
                    help="fragment as 'ARITY,BODY[,c|2c]' to enumerate")
     p.add_argument("--mode", choices=MODES, default="sld")
-    p.add_argument("--max-depth", type=int, default=1)
-    p.add_argument("--max-body", type=int, default=None)
-    p.add_argument("--max-clauses", type=int, default=None)
+    p.add_argument("--max-depth", type=_non_negative_int, default=1)
+    p.add_argument("--max-body", type=_non_negative_int, default=None)
+    p.add_argument("--max-clauses", type=_non_negative_int, default=None)
 
     p = sub.add_parser("check", help="decide reducibility of one clause")
     p.add_argument("--clause", required=True)
@@ -345,19 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
                    default="partition")
     p.add_argument("--fragment-class", choices=sorted(_CLASS_BUILDERS),
                    default="2c", help="premise class (default: 2c)")
-    p.add_argument("--max-body", type=int, default=None,
+    p.add_argument("--max-body", type=_non_negative_int, default=None,
                    help="premise class body cap (default: clause body size)")
-    p.add_argument("--max-factor", type=int, default=2)
-    p.add_argument("--pool-body-cap", type=int, default=4)
-    p.add_argument("--max-pool", type=int, default=6000)
+    p.add_argument("--max-factor", type=_non_negative_int, default=2)
+    p.add_argument("--pool-body-cap", type=_non_negative_int, default=4)
+    p.add_argument("--max-pool", type=_non_negative_int, default=6000)
 
     p = sub.add_parser("derive", help="search a bounded derivation of a goal")
     p.add_argument("--theory", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--max-depth", type=int, default=1)
+    p.add_argument("--max-depth", type=_non_negative_int, default=1)
     p.add_argument("--mode", choices=MODES, default="sld")
-    p.add_argument("--max-body", type=int, default=None)
-    p.add_argument("--max-clauses", type=int, default=None)
+    p.add_argument("--max-body", type=_non_negative_int, default=None)
+    p.add_argument("--max-clauses", type=_non_negative_int, default=None)
 
     p = sub.add_parser("graph", help="clause-graph structure report")
     p.add_argument("--clause", required=True)
@@ -367,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="irreducibility-preserving extension")
     p.add_argument("--clause", required=True)
     p.add_argument("--pairs", help="body indices 'i,j' for one extension")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_non_negative_int, default=None,
                    help="emit all canonical extensions after DEPTH rounds")
 
     return parser

@@ -3,14 +3,16 @@
 A clause is *reducible* within a fragment when it is the conclusion of a
 single inference whose premises both belong to the fragment and have strictly
 smaller bodies; a final variable unification may recover identifications the
-split loses.  Two deciders are provided.  The *partition* method cuts the
-clause in two and introduces a fresh pivot literal carrying exactly the
-variables the cut leaves pending on one side — it is exact when every
-variable occurs exactly three times, and a sound heuristic otherwise.  The
-*forward oracle* resolves all pairs of smaller fragment members (factoring
-chains included in standard mode) and instance-matches the results; when the
-premise pool is too large to enumerate it falls back to target-directed
-candidates with exhaustive pivot argument sets.
+inference loses.  A standard inference is one resolution step followed by up
+to ``max_factor`` factorings, an SLD inference the same step with none, so
+both modes run one search.  Its candidates come from cuts or from a pool.
+The *partition* method replays cuts of the body whose fresh pivot literal
+carries exactly the variables the cut leaves pending on one side
+(:func:`_cut_hits`) — exact when every variable occurs exactly three times,
+a sound heuristic otherwise.  The *forward oracle* resolves all pairs of
+smaller fragment members and instance-matches the results (:func:`_pool_scan`),
+replaying cuts with exhaustive pivot argument sets when the pool is too
+large to enumerate.
 
 :func:`reduce_theory` greedily removes derivable clauses from a finite
 theory, recomposing every removal proof so that it replays from the final
@@ -42,6 +44,7 @@ from hornreduce.resolution import (
     KIND_RESOLUTION,
     KIND_SLD,
     MODES,
+    InferenceStep,
     Proof,
     factor,
     replay_proof,
@@ -139,16 +142,16 @@ def extension_pairs(c: HornClause) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def hnr_family(depth: int) -> tuple[HornClause, ...]:
-    """Canonical clauses obtained from :func:`c_base` by exactly ``depth``
-    extension steps, over all eligible atom pairs, deduplicated.
+def extension_family(clause: HornClause, depth: int) -> tuple[HornClause, ...]:
+    """Canonical clauses obtained from ``clause`` by exactly ``depth``
+    :func:`nonred_extend` steps, over all eligible atom pairs, deduplicated
+    and sorted by canonical key.
 
-    Depth 0 is the base clause alone; each step adds three body literals.
+    Depth 0 is the clause alone; each step adds three body literals.
     """
     if depth < 0:
         raise ValueError("depth must not be negative")
-    base = c_base()
-    level = {canonical_key(base): canonical_form(base)[0]}
+    level = {canonical_key(clause): canonical_form(clause)[0]}
     for _ in range(depth):
         grown: dict = {}
         for key in sorted(level):
@@ -160,6 +163,11 @@ def hnr_family(depth: int) -> tuple[HornClause, ...]:
                     grown[k] = canonical_form(e)[0]
         level = grown
     return tuple(level[k] for k in sorted(level))
+
+
+def hnr_family(depth: int) -> tuple[HornClause, ...]:
+    """The extension family of :func:`c_base` at ``depth``."""
+    return extension_family(c_base(), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +250,9 @@ def _pivot_arg_sets(order: tuple[str, ...], occ1: dict[str, int],
     return [(v,)] if v is not None else []
 
 
-def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int, *,
+def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
                   overlap_cap: int, exhaustive: bool
-                  ) -> Iterator[tuple[HornClause, HornClause, Atom,
+                  ) -> Iterator[tuple[HornClause, HornClause,
                                       tuple[tuple[int, int], ...]]]:
     """Candidate premise pairs for deriving ``c`` in one inference.
 
@@ -292,28 +300,34 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int, *,
                         first = HornClause(c.head, (pivot,) + side1_body)
                         second = HornClause(pivot, side2)
                         if member(mem, first) and member(mem, second):
-                            yield first, second, pivot, fpairs
+                            yield first, second, fpairs
 
 
-def _replay_cut(c: HornClause, cand: tuple, kind: str):
-    """Resolve a candidate pair forward, factor the overlap copies, and
-    instance-match against ``c``.  Returns (steps, final clause, unifier)."""
-    first, second, _, fpairs = cand
-    step = resolve(first, second, 0, kind=kind)
-    if step is None:
-        return None
-    steps = [step]
-    current = step.conclusion
-    for i, j in fpairs:
-        fs = factor(current, i, j)
-        if fs is None:
-            return None
-        steps.append(fs)
-        current = fs.conclusion
-    sigma = is_instance(c, current)
-    if sigma is None:
-        return None
-    return steps, current, sigma
+# A hit of the one-inference search: the resolution step and its factoring
+# steps, and the substitution instantiating their conclusion to the target.
+_Hit = tuple[list[InferenceStep], Substitution]
+
+
+def _cut_hits(c: HornClause, fragment: FragmentSpec, arity_cap: int,
+              kind: str, overlap_cap: int, exhaustive: bool
+              ) -> Iterator[_Hit]:
+    """Replay every candidate cut of ``c`` forward — resolve on the pivot,
+    factor the overlap copies — and yield those covering ``c``."""
+    for first, second, fpairs in _cut_premises(c, fragment, arity_cap,
+                                               overlap_cap, exhaustive):
+        step = resolve(first, second, 0, kind=kind)
+        if step is None:
+            continue
+        steps = [step]
+        for i, j in fpairs:
+            fs = factor(steps[-1].conclusion, i, j)
+            if fs is None:
+                break
+            steps.append(fs)
+        else:
+            sigma = is_instance(c, steps[-1].conclusion)
+            if sigma is not None:
+                yield steps, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +356,25 @@ class ReducibilityWitness:
         step = resolve(self.c1, self.c2, self.body_index, kind=KIND_SLD)
         if step is None:
             raise ValueError("witness premises do not resolve")
-        steps = [step]
-        if step.conclusion != target:
-            final = unify_onto(step.conclusion, target)
-            if final is None:
-                raise ValueError("witness resolvent does not cover the target")
-            steps.append(final)
-        return Proof((self.c1, self.c2), tuple(steps), target)
+        return _closed_proof([step], target)
+
+
+def _closed_proof(steps: list[InferenceStep], target: HornClause) -> Proof:
+    """Proof of ``target`` by ``steps``, closed by a final unification unless
+    they conclude ``target`` exactly."""
+    if steps[-1].conclusion != target:
+        final = unify_onto(steps[-1].conclusion, target)
+        if final is None:
+            raise ValueError("the inference does not cover the target")
+        steps = steps + [final]
+    return Proof(steps[0].premises, tuple(steps), target)
+
+
+def _witness(hit: _Hit) -> ReducibilityWitness:
+    steps, sigma = hit
+    return ReducibilityWitness(*steps[0].premises, steps[0].pivot,
+                               steps[-1].conclusion, sigma,
+                               body_index=steps[0].body_index)
 
 
 def inverse_candidates(c: HornClause, arity_cap: int,
@@ -364,12 +390,7 @@ def inverse_candidates(c: HornClause, arity_cap: int,
     every variable of ``c`` occurs exactly three times; otherwise treat a
     miss as heuristic and consult the forward oracle.
     """
-    for cand in _cut_premises(c, fragment, arity_cap,
-                              overlap_cap=0, exhaustive=False):
-        got = _replay_cut(c, cand, KIND_SLD)
-        if got is not None:
-            _, final, sigma = got
-            yield ReducibilityWitness(cand[0], cand[1], cand[2], final, sigma)
+    return map(_witness, _cut_hits(c, fragment, arity_cap, KIND_SLD, 0, False))
 
 
 def _forward_pool(c: HornClause, fragment: FragmentSpec, pool_body_cap: int,
@@ -386,130 +407,73 @@ def _forward_pool(c: HornClause, fragment: FragmentSpec, pool_body_cap: int,
     return pool
 
 
-def _pool_by_size(pool: Iterable[HornClause]) -> dict[int, list[HornClause]]:
-    by_size: dict[int, list[HornClause]] = {}
-    for d in pool:
-        by_size.setdefault(d.body_size, []).append(d)
-    return by_size
-
-
-def _forward_sld_pool(c: HornClause,
-                      pool: tuple[HornClause, ...]) -> ReducibilityWitness | None:
-    """Exhaustive SLD oracle: resolve every size- and arity-compatible pair
-    of pool members at every position and instance-match against ``c``."""
-    b = c.body_size
-    head_arity = c.head.pred.arity
-    target = sorted(a.pred.arity for a in c.body)
-    by_size = _pool_by_size(pool)
-    arities = {id(d): sorted(a.pred.arity for a in d.body) for d in pool}
-    for s1 in sorted(by_size):
-        s2 = b + 1 - s1
-        if s2 < 1 or s2 not in by_size:
-            continue
-        for d1 in by_size[s1]:
-            if d1.head.pred.arity != head_arity:
+def _factor_chain(steps: list[InferenceStep], left: int,
+                  target: HornClause) -> _Hit | None:
+    """Depth-first search for ``left`` more factorings of the last
+    conclusion of ``steps`` that make it cover ``target``."""
+    current = steps[-1].conclusion
+    if left == 0:
+        sigma = is_instance(target, current)
+        return (steps, sigma) if sigma is not None else None
+    for i in range(len(current.body)):
+        for j in range(i + 1, len(current.body)):
+            fs = factor(current, i, j)
+            if fs is None:
                 continue
-            for d2 in by_size[s2]:
-                pivot_arity = d2.head.pred.arity
-                merged = list(arities[id(d1)])
-                if pivot_arity not in merged:
-                    continue
-                merged.remove(pivot_arity)
-                merged += arities[id(d2)]
-                merged.sort()
-                if merged != target:
-                    continue
-                for idx, atom in enumerate(d1.body):
-                    if atom.pred.arity != pivot_arity:
-                        continue
-                    step = resolve(d1, d2, idx, kind=KIND_SLD)
-                    if step is None:
-                        continue
-                    sigma = is_instance(c, step.conclusion)
-                    if sigma is not None:
-                        return ReducibilityWitness(
-                            d1, d2, step.pivot, step.conclusion, sigma,
-                            body_index=idx)
+            hit = _factor_chain(steps + [fs], left - 1, target)
+            if hit is not None:
+                return hit
     return None
 
 
-def _factor_chain(start, chain_length: int, target: HornClause):
-    """Depth-first search for ``chain_length`` factorings of the resolvent
-    that make it cover ``target``."""
-    def rec(current: HornClause, steps: list, left: int):
-        if left == 0:
-            sigma = is_instance(target, current)
-            return (steps, current, sigma) if sigma is not None else None
-        for i in range(len(current.body)):
-            for j in range(i + 1, len(current.body)):
-                fs = factor(current, i, j)
-                if fs is None:
-                    continue
-                got = rec(fs.conclusion, steps + [fs], left - 1)
-                if got is not None:
-                    return got
-        return None
-
-    return rec(start.conclusion, [start], chain_length)
+def _arity_surplus(target: Counter, d1_body: tuple[int, ...],
+                   pivot_arity: int, d2_body: tuple[int, ...]) -> int:
+    """Literals a resolvent of bodies ``d1_body`` (on a pivot of
+    ``pivot_arity``) and ``d2_body`` has beyond the ``target`` arity
+    multiset, or -1 when it cannot cover the target."""
+    merged = Counter(d1_body)
+    if merged[pivot_arity] < 1:
+        return -1
+    merged[pivot_arity] -= 1
+    merged.update(d2_body)
+    return -1 if target - merged else sum((merged - target).values())
 
 
-def _forward_standard_pool(c: HornClause, pool: tuple[HornClause, ...],
-                           max_factor: int) -> Proof | None:
-    """Exhaustive standard-mode oracle: each resolution may be followed by
-    exactly the factoring chain its size surplus dictates."""
-    b = c.body_size
-    head_arity = c.head.pred.arity
+def _pool_scan(c: HornClause, pool: tuple[HornClause, ...], kind: str,
+               max_factor: int) -> _Hit | None:
+    """Exhaustive forward oracle: resolve every size- and arity-compatible
+    pair of pool members at every position, follow each resolution with
+    exactly the factoring chain its size surplus dictates (none in SLD,
+    where ``max_factor`` is 0), and instance-match against ``c``."""
     target = Counter(a.pred.arity for a in c.body)
-    by_size = _pool_by_size(pool)
-    arities = {id(d): Counter(a.pred.arity for a in d.body) for d in pool}
+    by_size: dict[int, list] = {}
+    sig_ids: dict = {}  # (head arity, sorted body arities) -> small int
+    for d in pool:
+        sig = (d.head.pred.arity, tuple(sorted(a.pred.arity for a in d.body)))
+        by_size.setdefault(d.body_size, []).append(
+            (d, sig, sig_ids.setdefault(sig, len(sig_ids))))
+    surplus: dict = {}  # d1 body arities -> d2 signature id -> surplus
     for chain in range(max_factor + 1):
-        need = b + chain
         for s1 in sorted(by_size):
-            s2 = need + 1 - s1
-            if s2 < 1 or s2 not in by_size:
-                continue
-            for d1 in by_size[s1]:
-                if d1.head.pred.arity != head_arity:
+            for d1, (d1_head, d1_body), _ in by_size[s1]:
+                if d1_head != c.head.pred.arity:
                     continue
-                for d2 in by_size[s2]:
-                    pivot_arity = d2.head.pred.arity
-                    merged = arities[id(d1)].copy()
-                    if merged[pivot_arity] < 1:
-                        continue
-                    merged[pivot_arity] -= 1
-                    merged += arities[id(d2)]
-                    if target - merged:
-                        continue
-                    if sum((merged - target).values()) != chain:
+                fits = surplus.setdefault(d1_body, {})
+                for d2, (pivot_arity, d2_body), d2_sig in \
+                        by_size.get(c.body_size + chain + 1 - s1, ()):
+                    extra = fits.get(d2_sig)
+                    if extra is None:
+                        extra = fits[d2_sig] = _arity_surplus(
+                            target, d1_body, pivot_arity, d2_body)
+                    if extra != chain:
                         continue
                     for idx, atom in enumerate(d1.body):
                         if atom.pred.arity != pivot_arity:
                             continue
-                        step = resolve(d1, d2, idx, kind=KIND_RESOLUTION)
-                        if step is None:
-                            continue
-                        got = _factor_chain(step, chain, c)
-                        if got is None:
-                            continue
-                        steps, final, _ = got
-                        if final != c:
-                            steps.append(unify_onto(final, c))
-                        return Proof((d1, d2), tuple(steps), c)
-    return None
-
-
-def _standard_cuts(c: HornClause, fragment: FragmentSpec, arity_cap: int,
-                   max_factor: int, exhaustive: bool) -> Proof | None:
-    """Standard-mode partition search over covers with bounded overlap."""
-    for cand in _cut_premises(c, fragment, arity_cap,
-                              overlap_cap=max_factor, exhaustive=exhaustive):
-        got = _replay_cut(c, cand, KIND_RESOLUTION)
-        if got is None:
-            continue
-        steps, final, _ = got
-        if final != c:
-            steps.append(unify_onto(final, c))
-        return Proof((cand[0], cand[1]), tuple(steps), c)
+                        step = resolve(d1, d2, idx, kind=kind)
+                        hit = _factor_chain([step], chain, c) if step else None
+                        if hit is not None:
+                            return hit
     return None
 
 
@@ -541,29 +505,20 @@ def is_reducible(c: HornClause, mode: str = "sld",
         raise ValueError("max_factor must not be negative")
     if c.head is None or c.body_size <= 1:
         return None
-    if mode == "sld":
-        if method == METHOD_PARTITION:
-            return next(inverse_candidates(c, fragment.max_arity, fragment),
-                        None)
-        pool = _forward_pool(c, fragment, pool_body_cap, max_pool)
-        if pool is not None:
-            return _forward_sld_pool(c, pool)
-        for cand in _cut_premises(c, fragment, fragment.max_arity,
-                                  overlap_cap=0, exhaustive=True):
-            got = _replay_cut(c, cand, KIND_SLD)
-            if got is not None:
-                _, final, sigma = got
-                return ReducibilityWitness(cand[0], cand[1], cand[2],
-                                           final, sigma)
-        return None
-    if method == METHOD_PARTITION:
-        return _standard_cuts(c, fragment, fragment.max_arity, max_factor,
-                              exhaustive=False)
-    pool = _forward_pool(c, fragment, pool_body_cap, max_pool)
+    # an SLD inference is a resolution step with an empty factoring chain
+    kind, chain_cap = (KIND_SLD, 0) if mode == "sld" \
+        else (KIND_RESOLUTION, max_factor)
+    forward = method == METHOD_FORWARD
+    pool = _forward_pool(c, fragment, pool_body_cap, max_pool) \
+        if forward else None
     if pool is not None:
-        return _forward_standard_pool(c, pool, max_factor)
-    return _standard_cuts(c, fragment, fragment.max_arity, max_factor,
-                          exhaustive=True)
+        hit = _pool_scan(c, pool, kind, chain_cap)
+    else:
+        hit = next(_cut_hits(c, fragment, fragment.max_arity, kind,
+                             chain_cap, exhaustive=forward), None)
+    if hit is None:
+        return None
+    return _witness(hit) if mode == "sld" else _closed_proof(hit[0], c)
 
 
 # ---------------------------------------------------------------------------

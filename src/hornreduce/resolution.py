@@ -578,24 +578,36 @@ def proof_to_json_dict(proof: Proof) -> dict:
 
 
 def proof_from_json_dict(data: dict) -> Proof:
-    """Rebuild a :class:`Proof` serialized by :func:`proof_to_json_dict`."""
+    """Rebuild a :class:`Proof` serialized by :func:`proof_to_json_dict`.
+
+    Raises ValueError on a malformed record: a missing key, or a premise
+    reference that is not an ``["input", i]`` or ``["step", j]`` pair naming
+    an existing input or an earlier step.
+    """
     from hornreduce.clauses import parse_clause
 
-    inputs = tuple(parse_clause(t) for t in data["inputs"])
-    conclusion = parse_clause(data["conclusion"])
+    def field(record, key: str):
+        if not isinstance(record, dict) or key not in record:
+            raise ValueError(f"proof record lacks {key!r}")
+        return record[key]
+
+    inputs = tuple(parse_clause(t) for t in field(data, "inputs"))
+    conclusion = parse_clause(field(data, "conclusion"))
     steps: list[InferenceStep] = []
 
-    def deref(ref: list) -> HornClause:
-        where, i = ref
-        if where == "input":
-            return inputs[i]
-        if where == "step":
-            return steps[i].conclusion
+    def deref(ref) -> HornClause:
+        if isinstance(ref, (list, tuple)) and len(ref) == 2 \
+                and type(ref[1]) is int and ref[1] >= 0:
+            where, i = ref
+            if where == "input" and i < len(inputs):
+                return inputs[i]
+            if where == "step" and i < len(steps):
+                return steps[i].conclusion
         raise ValueError(f"bad premise reference {ref!r}")
 
-    for entry in data["steps"]:
-        premises = tuple(deref(r) for r in entry["premises"])
-        step_conclusion = parse_clause(entry["conclusion"])
+    for entry in field(data, "steps"):
+        premises = tuple(deref(r) for r in field(entry, "premises"))
+        step_conclusion = parse_clause(field(entry, "conclusion"))
         pivot = None
         if "pivot" in entry:
             pivot = parse_clause(entry["pivot"] + ".").head
@@ -603,7 +615,7 @@ def proof_from_json_dict(data: dict) -> Proof:
         if "unifier" in entry:
             unifier = Substitution.from_json_dict(entry["unifier"])
         steps.append(InferenceStep(
-            kind=entry["kind"],
+            kind=field(entry, "kind"),
             premises=premises,
             conclusion=step_conclusion,
             body_index=entry.get("body_index"),

@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,14 @@ def test_reduce_requires_exactly_one_source(tmp_path):
     assert code == 64
 
 
+def test_reduce_negative_max_depth_is_usage_error():
+    code, out, err = run(["reduce", "--fragment", "1,3,c",
+                          "--max-depth", "-1"])
+    assert code == 64
+    assert out == ""
+    assert "must not be negative" in err
+
+
 def test_reduce_stdout_is_deterministic():
     first = run(["reduce", "--fragment", "1,3,c"])
     second = run(["reduce", "--fragment", "1,3,c"])
@@ -159,6 +168,14 @@ def test_check_inconclusive_on_tiny_pool_cap():
     assert code == 2
     assert json.loads(out)["result"] == "inconclusive"
     assert "inconclusive" in err
+
+
+def test_check_negative_max_factor_is_usage_error():
+    code, out, err = run(["check", "--clause", str(c_base()),
+                          "--max-factor", "-1"])
+    assert code == 64
+    assert out == ""
+    assert "must not be negative" in err
 
 
 def test_check_parse_error_exit_sixtyfive():
@@ -270,6 +287,28 @@ def test_extend_validates_flags():
     assert code == 64 and "share" in err
     code, _, _ = run(["extend", "--clause", clause, "--depth", "-1"])
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# Frozen check/extend output
+# ---------------------------------------------------------------------------
+
+# Exit codes and stdout of check and extend command lines, captured before
+# the sld and standard searches were merged into one: the base, chain,
+# dyadic 3-cycle and triadic clauses under both modes, both methods and the
+# c/2c premise classes, the inconclusive pool cap, the target-directed
+# forward fallback, and extension depths 0-2.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{i:02d}-{c['argv'][0]}"
+                              for i, c in enumerate(GOLDEN)])
+def test_check_and_extend_stdout_is_frozen(case):
+    code, out, _ = run(case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
 
 
 # ---------------------------------------------------------------------------

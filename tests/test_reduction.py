@@ -8,6 +8,7 @@ from hornreduce.clauses import (
     Atom,
     Theory,
     alpha_equivalent,
+    canonical_form,
     canonical_key,
     is_instance,
     pending_variables,
@@ -23,6 +24,8 @@ from hornreduce.reduction import (
     c_base,
     cbase_resolution_reduction,
     cut_pending,
+    extension_family,
+    extension_pairs,
     hnr_family,
     inverse_candidates,
     is_reducible,
@@ -178,6 +181,18 @@ def test_hnr_family_depth_one_members():
         assert len(set(preds)) == len(preds)
 
 
+def test_extension_family_of_worked_example():
+    c = cl("H0(x1) :- P1(x1,x2), P2(x1,x3).")
+    assert extension_family(c, 0) == (canonical_form(c)[0],)
+    fam = extension_family(c, 1)
+    want = {canonical_key(nonred_extend(c, i, j))
+            for i, j in extension_pairs(c)}
+    assert [canonical_key(m) for m in fam] == sorted(want)
+    assert all(m.body_size == 5 for m in fam)
+    with pytest.raises(ValueError):
+        extension_family(c, -1)
+
+
 def test_hnr_family_rejects_negative_depth():
     with pytest.raises(ValueError):
         hnr_family(-1)
@@ -292,27 +307,43 @@ def test_forward_oracle_signals_oversized_pool():
                      max_pool=10)
 
 
+def assert_methods_agree(c, frag, mode, **forward_bounds):
+    """Partition and forward oracle reach the same verdict on ``c``, and
+    every hit replays."""
+    partition = is_reducible(c, mode, frag, METHOD_PARTITION)
+    forward = is_reducible(c, mode, frag, METHOD_FORWARD, **forward_bounds)
+    assert (partition is None) == (forward is None), (mode, c)
+    for hit in (partition, forward):
+        if hit is not None:
+            assert replay_proof(hit.to_proof(c) if mode == "sld" else hit)
+    return partition is not None
+
+
 def test_methods_agree_on_dyadic_two_connected_corpus(corpus_2c24):
     frag = horn_2c(2, 4)
     for c in corpus_2c24:
-        if c.body_size < 3:
-            continue
-        partition = is_reducible(c, "sld", frag, METHOD_PARTITION)
-        pruned = is_reducible(c, "sld", frag, METHOD_FORWARD,
-                              pool_body_cap=0)
-        assert (partition is None) == (pruned is None), c
-        if partition is not None:
-            assert replay_proof(partition.to_proof(c))
-            assert replay_proof(pruned.to_proof(c))
+        if c.body_size >= 3:
+            assert_methods_agree(c, frag, "sld", pool_body_cap=0)
+
+
+def test_methods_agree_on_dyadic_two_connected_corpus_standard(corpus_2c24):
+    frag = horn_2c(2, 4)
+    targets = [c for c in corpus_2c24 if c.body_size >= 3]
+    reducible = sum(assert_methods_agree(c, frag, "standard", pool_body_cap=0)
+                    for c in targets)
+    assert reducible == len(targets) == 792
 
 
 def test_methods_agree_on_full_pool_sample(corpus_2c24):
     frag = horn_2c(2, 4)
-    sample = [c for c in corpus_2c24 if c.body_size >= 3][::37]
-    for c in sample:
-        partition = is_reducible(c, "sld", frag, METHOD_PARTITION)
-        forward = is_reducible(c, "sld", frag, METHOD_FORWARD)
-        assert (partition is None) == (forward is None), c
+    for c in [c for c in corpus_2c24 if c.body_size >= 3][::37]:
+        assert_methods_agree(c, frag, "sld")
+
+
+def test_methods_agree_on_full_pool_sample_standard(corpus_2c24):
+    frag = horn_2c(2, 4)
+    for c in [c for c in corpus_2c24 if c.body_size >= 3][::37]:
+        assert_methods_agree(c, frag, "standard")
 
 
 def test_extension_family_stays_sld_irreducible_by_partition():

@@ -402,6 +402,36 @@ def test_proof_json_round_trip_with_factoring():
     assert replay_proof(rebuilt, theory=t)
 
 
+def tampered_cbase_record(edit):
+    """The worked base-clause proof as JSON, after ``edit`` mutates it."""
+    from hornreduce.reduction import cbase_resolution_reduction
+    data = proof_to_json_dict(cbase_resolution_reduction())
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["steps"][1]["premises"].__setitem__(0, ["step", 3]),
+    lambda d: d["steps"][0]["premises"].__setitem__(1, ["input", 2]),
+    lambda d: d["steps"][0]["premises"].__setitem__(0, ["input", -1]),
+    lambda d: d["steps"][1]["premises"].__setitem__(0, ["step", 0, 0]),
+    lambda d: d["steps"][0]["premises"].__setitem__(0, ["axiom", 0]),
+    lambda d: d["steps"][0]["premises"].__setitem__(0, ["input", "0"]),
+    lambda d: d.pop("inputs"),
+    lambda d: d.pop("steps"),
+    lambda d: d.pop("conclusion"),
+    lambda d: d["steps"][0].pop("premises"),
+    lambda d: d["steps"][0].pop("kind"),
+    lambda d: d["steps"][1].pop("conclusion"),
+], ids=["step-out-of-range", "input-out-of-range", "negative-input",
+        "three-element-ref", "unknown-ref-kind", "non-integer-index",
+        "no-inputs", "no-steps", "no-conclusion", "no-step-premises",
+        "no-step-kind", "no-step-conclusion"])
+def test_proof_json_rejects_malformed_record(edit):
+    with pytest.raises(ValueError):
+        proof_from_json_dict(tampered_cbase_record(edit))
+
+
 def test_proof_json_detects_missing_reference():
     proof, _, _ = make_simple_proof()
     data = proof_to_json_dict(proof)
