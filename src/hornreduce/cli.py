@@ -84,6 +84,8 @@ def _read_theory_file(path: str) -> Theory:
         text = open(path, encoding="utf-8").read()
     except OSError as exc:
         raise _UsageError(f"cannot read theory file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ClauseParseError(f"theory file is not UTF-8: {exc}") from exc
     return Theory(parse_theory(text))
 
 

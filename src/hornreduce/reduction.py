@@ -9,10 +9,13 @@ both modes run one search.  Its candidates come from cuts or from a pool.
 The *partition* method replays cuts of the body whose fresh pivot literal
 carries exactly the variables the cut leaves pending on one side
 (:func:`_cut_hits`) — exact when every variable occurs exactly three times,
-a sound heuristic otherwise.  The *forward oracle* resolves all pairs of
-smaller fragment members and instance-matches the results (:func:`_pool_scan`),
-replaying cuts with exhaustive pivot argument sets when the pool is too
-large to enumerate.
+a sound heuristic otherwise.  A cut is a pair of body bitmasks and each
+variable has the mask of the body atoms holding it (:func:`_var_masks`), so
+its distinct-literal count on a side is one popcount; a cut that leaves more
+variables pending than a pivot can carry is dropped before any premise is
+built.  The *forward oracle* resolves all pairs of smaller fragment members
+and instance-matches the results (:func:`_pool_scan`), replaying cuts with
+exhaustive pivot argument sets when the pool is too large to enumerate.
 
 :func:`reduce_theory` greedily removes derivable clauses from a finite
 theory, recomposing every removal proof so that it replays from the final
@@ -174,22 +177,35 @@ def hnr_family(depth: int) -> tuple[HornClause, ...]:
 # Cuts, pending variables, and candidate premise pairs
 # ---------------------------------------------------------------------------
 
-def _occurrences(atoms: Iterable[Atom]) -> dict[str, int]:
-    """Distinct-literal occurrence counts of every variable in ``atoms``."""
-    occ: dict[str, int] = {}
-    for a in atoms:
-        for v in set(a.args):
-            occ[v] = occ.get(v, 0) + 1
-    return occ
+# Per term variable of a clause: its name, the bitmask of the body atoms
+# holding it and 1 if the head holds it, else 0.  A cut is two body masks,
+# ``am`` for side 1 (which also holds the head) and ``bm`` for side 2, so a
+# variable's distinct-literal count on side 1 is ``(m & am).bit_count() + h``
+# and on side 2 ``(m & bm).bit_count()``.
+_Masks = tuple[tuple[str, int, int], ...]
 
 
-def _pivot_required(order: tuple[str, ...], occ1: dict[str, int],
-                    occ2: dict[str, int]) -> tuple[str, ...]:
-    """Variables a pivot must carry: those occurring on both sides of a cut
-    but in only one literal on at least one side."""
-    return tuple(v for v in order
-                 if occ1.get(v, 0) >= 1 and occ2.get(v, 0) >= 1
-                 and (occ1.get(v, 0) == 1 or occ2.get(v, 0) == 1))
+def _var_masks(c: HornClause) -> _Masks:
+    """The masks of ``c``'s term variables in first-occurrence order: bit
+    ``k`` is set when body atom ``k`` holds the variable, however often."""
+    head = c.head.args if c.head is not None else ()
+    return tuple((v, sum(1 << k for k, a in enumerate(c.body) if v in a.args),
+                  int(v in head)) for v in c.term_vars())
+
+
+def _pending(masks: _Masks, am: int, bm: int, cap: int) -> list[str] | None:
+    """Variables a pivot must carry across the cut ``(am, bm)``: those
+    occurring on both sides but in only one literal on at least one side.
+    None as soon as there are more than ``cap`` of them."""
+    out = []
+    for v, m, h in masks:
+        n2 = (m & bm).bit_count()
+        n1 = (m & am).bit_count() + h if n2 else 0
+        if n1 and (n1 == 1 or n2 == 1):
+            out.append(v)
+            if len(out) > cap:
+                return None
+    return out
 
 
 def cut_pending(c: HornClause, body_indices: Iterable[int]) -> tuple[str, ...]:
@@ -205,49 +221,43 @@ def cut_pending(c: HornClause, body_indices: Iterable[int]) -> tuple[str, ...]:
     idx = frozenset(body_indices)
     if any(not 0 <= k < c.body_size for k in idx):
         raise IndexError("cut index out of range")
-    side2 = [c.body[k] for k in sorted(idx)]
-    side1 = ([c.head] if c.head is not None else []) \
-        + [a for k, a in enumerate(c.body) if k not in idx]
-    return _pivot_required(c.term_vars(), _occurrences(side1), _occurrences(side2))
+    bm = sum(1 << k for k in idx)
+    return tuple(_pending(_var_masks(c), ((1 << c.body_size) - 1) ^ bm, bm,
+                          len(c.term_vars())))
 
 
-def _pivot_arg_sets(order: tuple[str, ...], occ1: dict[str, int],
-                    occ2: dict[str, int], side2: tuple[Atom, ...],
+def _pivot_arg_sets(c: HornClause, masks: _Masks, am: int, bm: int,
                     fragment: FragmentSpec, arity_cap: int,
                     exhaustive: bool) -> list[tuple[str, ...]]:
-    """Pivot argument tuples to try for one cut.
+    """Pivot argument tuples to try for the cut of ``c`` into the body masks
+    ``am`` (side 1, with the head) and ``bm`` (side 2).
 
-    The default policy uses exactly the pending variables of the cut, with a
-    single-connector fallback when nothing is pending; the exhaustive policy
-    tries every subset of the crossing variables up to the arity cap.
-    Arguments a pivot could carry beyond the crossing variables never change
-    the resolvent, so both policies omit them.
+    The default policy uses exactly the pending variables of the cut, none
+    when there are more than ``arity_cap``, with a single-connector fallback
+    when nothing is pending: the first crossing variable for connected
+    premises (each then sits in two literals per side, as 2-connected
+    premises need), else the first variable side 2 holds.  The exhaustive
+    policy tries every subset of the crossing variables up to the arity
+    cap.  Arguments a pivot could carry beyond the crossing variables never
+    change the resolvent, so both policies omit them.
     """
-    crossing = tuple(v for v in order
-                     if occ1.get(v, 0) >= 1 and occ2.get(v, 0) >= 1)
-    if exhaustive:
-        sets: list[tuple[str, ...]] = []
-        for size in range(1, min(arity_cap, len(crossing)) + 1):
-            sets.extend(itertools.combinations(crossing, size))
-        if not crossing and not fragment.connected \
-                and not fragment.two_connected and arity_cap >= 1:
-            first = next((v for a in side2 for v in a.args), None)
-            if first is not None:
-                sets.append((first,))
-        return sets
-    required = _pivot_required(order, occ1, occ2)
-    if required:
-        return [required] if len(required) <= arity_cap else []
-    if arity_cap < 1:
-        return []
-    if fragment.two_connected:
-        v = next((x for x in order
-                  if occ1.get(x, 0) >= 2 and occ2.get(x, 0) >= 2), None)
-    elif fragment.connected:
-        v = next(iter(crossing), None)
-    else:
-        v = next((x for x in order if occ2.get(x, 0) >= 1), None)
-    return [(v,)] if v is not None else []
+    connected = fragment.connected or fragment.two_connected
+    if not exhaustive:
+        required = _pending(masks, am, bm, arity_cap)
+        if required is None or arity_cap < 1:
+            return []
+        if required:
+            return [tuple(required)]
+        return [(v,) for v, m, h in masks
+                if m & bm and (m & am or h or not connected)][:1]
+    crossing = [v for v, m, h in masks if m & bm and (m & am or h)]
+    sets: list[tuple[str, ...]] = []
+    for size in range(1, min(arity_cap, len(crossing)) + 1):
+        sets.extend(itertools.combinations(crossing, size))
+    if not crossing and not connected and arity_cap >= 1:
+        sets += [(v,) for k, a in enumerate(c.body) if bm >> k & 1
+                 for v in a.args][:1]
+    return sets
 
 
 def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
@@ -265,32 +275,36 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
     syntactic class — most-generality and predicate distinctness are not
     required of premises — and have bodies strictly smaller than ``c``'s
     are produced.
+
+    Cuts are enumerated as body masks (see ``_Masks``); the side tuples and
+    premises are built only for cuts that have a pivot argument set.
     """
     b = c.body_size
     if c.head is None or b < 2:
         return
     mem = replace(fragment, most_general=False, distinct_predvars=False)
-    order = c.term_vars()
+    masks = _var_masks(c)
+    full = (1 << b) - 1
     pivot_name = next(fresh_names("Q", {p.name for p in c.pred_vars()}))
     positions = tuple(range(b))
     for o_size in range(min(overlap_cap, b) + 1):
         for overlap in itertools.combinations(positions, o_size):
-            rest = tuple(p for p in positions if p not in overlap)
+            om = sum(1 << p for p in overlap)
+            rest = tuple(1 << p for p in positions if p not in overlap)  # bits
             for b_only_size in range(2, len(rest) + 1):
                 if o_size + b_only_size >= b:
                     break
                 for b_only in itertools.combinations(rest, b_only_size):
-                    a_pos = tuple(sorted((set(rest) - set(b_only))
-                                         | set(overlap)))
-                    b_pos = tuple(sorted(set(b_only) | set(overlap)))
-                    side1_body = tuple(c.body[p] for p in a_pos)
-                    side2 = tuple(c.body[p] for p in b_pos)
-                    occ1 = _occurrences((c.head,) + side1_body)
-                    occ2 = _occurrences(side2)
-                    arg_sets = _pivot_arg_sets(order, occ1, occ2, side2,
-                                               fragment, arity_cap, exhaustive)
+                    bm = om + sum(b_only)
+                    am = (full ^ bm) | om
+                    arg_sets = _pivot_arg_sets(c, masks, am, bm, fragment,
+                                               arity_cap, exhaustive)
                     if not arg_sets:
                         continue
+                    a_pos = tuple(p for p in positions if am >> p & 1)
+                    b_pos = tuple(p for p in positions if bm >> p & 1)
+                    side1_body = tuple(c.body[p] for p in a_pos)
+                    side2 = tuple(c.body[p] for p in b_pos)
                     fpairs = tuple(sorted(
                         ((b_pos.index(p), len(b_pos) + a_pos.index(p))
                          for p in overlap),

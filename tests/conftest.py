@@ -50,6 +50,26 @@ def oracle_canonical_key(c: HornClause):
     return (c.head is not None, oracle_canonical_serialization(c))
 
 
+def oracle_cut_pending(c: HornClause, body_indices):
+    """Pending variables of a cut, counted per side with plain dicts: a
+    variable is pending when it occurs on both sides but in one distinct
+    literal on at least one of them.  The head stays on side 1."""
+    idx = set(body_indices)
+
+    def occurrences(atoms):
+        occ = {}
+        for atom in atoms:
+            for v in set(atom.args):
+                occ[v] = occ.get(v, 0) + 1
+        return occ
+
+    occ1 = occurrences(([c.head] if c.head is not None else [])
+                       + [a for k, a in enumerate(c.body) if k not in idx])
+    occ2 = occurrences(c.body[k] for k in sorted(idx))
+    return tuple(v for v in c.term_vars()
+                 if v in occ1 and v in occ2 and 1 in (occ1[v], occ2[v]))
+
+
 @pytest.fixture(scope="session")
 def corpus_c13():
     from hornreduce.fragments import horn_c

@@ -334,3 +334,13 @@ def test_theory_file_parse_error(tmp_path):
     code, _, err = run(["reduce", "--theory", str(path)])
     assert code == 65
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("argv", [["reduce"], ["derive", "--goal", "P0(a)."]],
+                         ids=["reduce", "derive"])
+def test_theory_file_not_utf8_is_parse_error(tmp_path, argv):
+    path = tmp_path / "latin1.thy"
+    path.write_bytes(b"P0(a) :- P1(a).\n\xff\n")
+    code, out, err = run(argv + ["--theory", str(path)])
+    assert (code, out) == (65, "")
+    assert err.startswith("parse error: theory file is not UTF-8")

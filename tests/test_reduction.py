@@ -1,11 +1,14 @@
 """Reducibility deciders, theory reduction, and the named study clauses."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hornreduce.clauses import (
     Atom,
+    HornClause,
     Theory,
     alpha_equivalent,
     canonical_form,
@@ -118,6 +121,39 @@ def test_cut_pending_counts_sides_not_totals():
 def test_cut_pending_rejects_bad_index():
     with pytest.raises(IndexError):
         cut_pending(c_base(), (0, 9))
+
+
+def all_cuts_match_oracle(c):
+    for size in range(c.body_size + 1):
+        for idx in itertools.combinations(range(c.body_size), size):
+            expected = conftest.oracle_cut_pending(c, idx)
+            assert cut_pending(c, idx) == expected, (str(c), idx)
+
+
+def test_cut_pending_matches_oracle_on_corpora(corpus_c23, corpus_2c24):
+    clauses = [c for c in corpus_c23 + corpus_2c24 if c.body_size >= 3]
+    clauses += [*hnr_family(1), c_base(), triadic_counterexample()]
+    for c in clauses:
+        all_cuts_match_oracle(c)
+
+
+@st.composite
+def small_clauses(draw):
+    """Clauses of arity at most 3 and up to 7 body atoms over four
+    variables, so atoms often repeat a variable, plus a duplicated body
+    atom at times; the predicate name encodes the arity."""
+    atom = st.lists(st.sampled_from("abcd"), max_size=3).map(
+        lambda args: Atom.of(f"P{len(args)}", *args))
+    body = draw(st.lists(atom, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        body.append(draw(st.sampled_from(body)))
+    return HornClause(draw(st.none() | atom), tuple(body))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_clauses())
+def test_cut_pending_matches_oracle_on_random_clauses(c):
+    all_cuts_match_oracle(c)
 
 
 # ---------------------------------------------------------------------------
