@@ -12,6 +12,7 @@ variables, and the clause text format.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -292,10 +293,19 @@ def _assign(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> list:
     return undo
 
 
-def _canonical_serialization(c: HornClause) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Minimal serialization over body orderings plus the body order achieving it."""
+def _canonical_serialization(c: HornClause) -> tuple[tuple, tuple[int, ...]]:
+    """The canonical key of ``c`` (head presence plus the minimal
+    serialization over body orderings) and the body order achieving it.
+
+    Ties are branched on, except between interchangeable body atoms: equal
+    atoms, and atoms with equal arguments whose predicates occur nowhere
+    else in the clause.  Swapping those is an automorphism of the clause,
+    so one branch per orbit finds the same minimum in the same order.
+    """
     body = c.body
     n = len(body)
+    uses = Counter(a.pred for a in c.literals())
+    orbit = [a.args if uses[a.pred] == 1 else a for a in body]
     pidx: dict[PredVar, int] = {}
     tidx: dict[str, int] = {}
     prefix: list[tuple[int, ...]] = []
@@ -328,11 +338,11 @@ def _canonical_serialization(c: HornClause) -> tuple[tuple[tuple[int, ...], ...]
             bk = best[0]
             if acc[:pos] == list(bk[:pos]) and mkey > bk[pos]:
                 return
-        taken: set[Atom] = set()
+        taken: set = set()
         for k, i in candidates:
-            if k != mkey or body[i] in taken:
+            if k != mkey or orbit[i] in taken:
                 continue
-            taken.add(body[i])
+            taken.add(orbit[i])
             used[i] = True
             order.append(i)
             acc.append(k)
@@ -352,14 +362,22 @@ def _canonical_serialization(c: HornClause) -> tuple[tuple[tuple[int, ...], ...]
     else:
         best = [tuple(acc), ()]
     assert best is not None
-    return best[0], best[1]
+    return (c.head is not None, best[0]), best[1]
+
+
+def _representative(key: tuple) -> HornClause:
+    # The clause a canonical key spells: atom (p, t1, ..., tk) is
+    # P<p>(x<t1>, ..., x<tk>), head first when the key's flag says so.
+    has_head, atoms = key
+    lits = [Atom(PredVar(f"P{a[0]}", len(a) - 1), tuple(f"x{t}" for t in a[1:]))
+            for a in atoms]
+    return HornClause(lits[0] if has_head else None, tuple(lits[has_head:]))
 
 
 def canonical_key(c: HornClause) -> tuple:
     """A hashable, total-order key identifying ``c`` up to alpha-equivalence
     and body reordering (head presence is part of the key)."""
-    keys, _ = _canonical_serialization(c)
-    return (c.head is not None, keys)
+    return _canonical_serialization(c)[0]
 
 
 def canonical_form(c: HornClause) -> tuple[HornClause, Substitution]:
@@ -370,20 +388,22 @@ def canonical_form(c: HornClause) -> tuple[HornClause, Substitution]:
     variables ``x1, x2, ...`` by first occurrence.  Idempotent; invariant
     under renaming and body reordering; preserves body multiplicity.
     """
-    _, order = _canonical_serialization(c)
-    pidx: dict[PredVar, int] = {}
-    tidx: dict[str, int] = {}
-    if c.head is not None:
-        _assign(c.head, pidx, tidx)
-    for i in order:
-        _assign(c.body[i], pidx, tidx)
-    sub = Substitution(
-        {p: PredVar(f"P{i}", p.arity) for p, i in pidx.items()},
-        {v: f"x{i}" for v, i in tidx.items()},
-    )
-    head = sub.atom(c.head) if c.head is not None else None
-    new_body = tuple(sub.atom(c.body[i]) for i in order)
-    return HornClause(head, new_body), sub
+    key, order = _canonical_serialization(c)
+    rep = _representative(key)
+    # The renaming pairs each literal, taken in canonical order, with its
+    # counterpart in the representative.
+    head = () if c.head is None else (c.head,)
+    pairs = list(zip(head + tuple(c.body[i] for i in order), rep.literals()))
+    return rep, Substitution(
+        {a.pred: b.pred for a, b in pairs},
+        {x: y for a, b in pairs for x, y in zip(a.args, b.args)})
+
+
+def canonical(c: HornClause) -> tuple[tuple, HornClause]:
+    """``(canonical_key(c), canonical_form(c)[0])`` from one serialization:
+    the representative is spelled from the key."""
+    key = canonical_key(c)
+    return key, _representative(key)
 
 
 def alpha_equivalent(c: HornClause, d: HornClause) -> bool:
@@ -621,34 +641,44 @@ def parse_theory(text: str) -> list[HornClause]:
 class Theory:
     """A finite clause set, deduplicated by alpha-equivalence.
 
-    Keeps the first-seen form of each clause in insertion order; membership
-    is by canonical form.  Predicate names are clause-local variables, so
-    the same name may appear at different arities in different clauses
-    (canonical enumerations reuse names freely); :func:`parse_theory`
-    enforces name/arity consistency for hand-written files instead.
+    Keeps the first-seen form of each clause in insertion order, indexed by
+    canonical key, so membership, :meth:`find` and :meth:`without`
+    canonicalize only their argument.  Predicate names are clause-local
+    variables, so the same name may appear at different arities in
+    different clauses (canonical enumerations reuse names freely);
+    :func:`parse_theory` enforces name/arity consistency for hand-written
+    files instead.
     """
 
-    __slots__ = ("clauses", "_canon")
+    __slots__ = ("_by_key",)
 
     def __init__(self, clauses: Iterable[HornClause] = ()):
-        seen: dict[tuple, HornClause] = {}
+        self._by_key: dict[tuple, HornClause] = {}
         for c in clauses:
-            seen.setdefault(canonical_key(c), c)
-        self.clauses: tuple[HornClause, ...] = tuple(seen.values())
-        self._canon: frozenset = frozenset(seen)
+            self._by_key.setdefault(canonical_key(c), c)
+
+    @property
+    def clauses(self) -> tuple[HornClause, ...]:
+        return tuple(self._by_key.values())
 
     def __iter__(self) -> Iterator[HornClause]:
-        return iter(self.clauses)
+        return iter(self._by_key.values())
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self._by_key)
 
     def __contains__(self, c: HornClause) -> bool:
-        return canonical_key(c) in self._canon
+        return canonical_key(c) in self._by_key
+
+    def find(self, c: HornClause) -> HornClause | None:
+        """The member alpha-equivalent to ``c``, or None."""
+        return self._by_key.get(canonical_key(c))
 
     def without(self, c: HornClause) -> "Theory":
-        key = canonical_key(c)
-        return Theory(x for x in self.clauses if canonical_key(x) != key)
+        rest = Theory()
+        rest._by_key = dict(self._by_key)
+        rest._by_key.pop(canonical_key(c), None)
+        return rest
 
     def __repr__(self) -> str:
-        return f"Theory({len(self.clauses)} clauses)"
+        return f"Theory({len(self)} clauses)"

@@ -24,7 +24,7 @@ from hornreduce.clauses import (
     Atom,
     HornClause,
     PredVar,
-    canonical_form,
+    _representative,
     canonical_key,
     fresh_names,
     pending_variables,
@@ -302,7 +302,7 @@ def _build_clause(arities: tuple[int, ...], preds: tuple[PredVar, ...],
 def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
     """All fragment members, one canonical representative each, sorted by
     body size, then body arity profile, head arity, and canonical key."""
-    out: dict = {}
+    keys: set = set()
     body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
     for s in body_sizes:
         for head_arity in range(1, spec.max_arity + 1):
@@ -316,18 +316,18 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
                             continue
                         if spec.two_connected and pending_variables(c):
                             continue
-                        canon, _ = canonical_form(c)
-                        out.setdefault(canonical_key(canon), canon)
-    clauses = list(out.values())
-    if spec.most_general:
-        clauses = [c for c in clauses if most_general_in(spec, c)]
-    clauses.sort(key=lambda c: (
-        c.body_size,
-        tuple(sorted(a.pred.arity for a in c.body)),
-        c.head.pred.arity,
-        canonical_key(c),
+                        keys.add(canonical_key(c))
+    # Most raw clauses repeat a class, so representatives are spelled only
+    # from the distinct keys.
+    keyed = [(key, c) for key, c in ((k, _representative(k)) for k in keys)
+             if not spec.most_general or most_general_in(spec, c)]
+    keyed.sort(key=lambda kc: (
+        kc[1].body_size,
+        tuple(sorted(a.pred.arity for a in kc[1].body)),
+        kc[1].head.pred.arity,
+        kc[0],
     ))
-    return tuple(clauses)
+    return tuple(c for _, c in keyed)
 
 
 def count_fragment(spec: FragmentSpec) -> int:

@@ -35,7 +35,7 @@ from hornreduce.clauses import (
     PredVar,
     Substitution,
     Theory,
-    canonical_form,
+    canonical,
     canonical_key,
     fresh_names,
     is_instance,
@@ -154,16 +154,13 @@ def extension_family(clause: HornClause, depth: int) -> tuple[HornClause, ...]:
     """
     if depth < 0:
         raise ValueError("depth must not be negative")
-    level = {canonical_key(clause): canonical_form(clause)[0]}
+    level = dict([canonical(clause)])
     for _ in range(depth):
         grown: dict = {}
         for key in sorted(level):
             m = level[key]
             for i, j in extension_pairs(m):
-                e = nonred_extend(m, i, j)
-                k = canonical_key(e)
-                if k not in grown:
-                    grown[k] = canonical_form(e)[0]
+                grown.setdefault(*canonical(nonred_extend(m, i, j)))
         level = grown
     return tuple(level[k] for k in sorted(level))
 
@@ -657,7 +654,7 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     t = theory if isinstance(theory, Theory) else Theory(theory)
     bounds = {"max_depth": max_depth, "max_body": max_body,
               "max_clauses": max_clauses}
-    survivors = sorted(t, key=_removal_order)
+    survivors = Theory(sorted(t, key=_removal_order))
     removed: list[tuple[HornClause, Proof]] = []
     bounds_hit = False
     while True:
@@ -665,26 +662,24 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
         while changed:
             changed = False
             for clause in list(survivors):
-                rest = [d for d in survivors if d is not clause]
+                rest = survivors.without(clause)
                 if not rest:
                     continue
                 res = search_derivation(rest, clause, max_depth, mode=mode,
                                         max_body=max_body,
                                         max_clauses=max_clauses)
                 if res.found:
-                    survivors.remove(clause)
+                    survivors = rest
                     removed.append((clause, res.proof))
                     changed = True
                 elif res.truncated:
                     bounds_hit = True
-        core = Theory(survivors)
-        ok, out = _recompose(core, removed)
+        ok, out = _recompose(survivors, removed)
         if ok:
-            return ReductionReport(core=core, removed=tuple(out),
+            return ReductionReport(core=survivors, removed=tuple(out),
                                    bounds_hit=bounds_hit, mode=mode,
                                    bounds=bounds)
-        survivors.append(out)
-        survivors.sort(key=_removal_order)
+        survivors = Theory(sorted([*survivors, out], key=_removal_order))
         removed = [(d, p) for d, p in removed if d is not out]
         bounds_hit = True
 

@@ -26,7 +26,7 @@ from hornreduce.clauses import (
     Theory,
     alpha_equivalent,
     apply_substitution,
-    canonical_form,
+    canonical,
     canonical_key,
     fresh_names,
     is_instance,
@@ -154,6 +154,28 @@ def _multiset_equal(c: HornClause, d: HornClause) -> bool:
     return sorted(c.body, key=key) == sorted(d.body, key=key)
 
 
+def _step_replays(step: InferenceStep) -> bool:
+    """Whether ``step`` recomputes to its recorded conclusion.  A step that
+    names a body position its premise lacks does not."""
+    premises = step.premises
+    try:
+        if step.kind in (KIND_SLD, KIND_RESOLUTION) and len(premises) == 2 \
+                and step.body_index is not None:
+            redone = resolve(*premises, step.body_index, kind=step.kind)
+        elif step.kind == KIND_FACTORING and len(premises) == 1 \
+                and step.factor_indices is not None:
+            redone = factor(premises[0], *step.factor_indices)
+        elif step.kind == KIND_UNIFICATION and len(premises) == 1 \
+                and step.unifier is not None:
+            return _multiset_equal(
+                apply_substitution(premises[0], step.unifier), step.conclusion)
+        else:
+            return False
+    except (IndexError, ValueError):
+        return False
+    return redone is not None and redone.conclusion == step.conclusion
+
+
 def replay_proof(proof: Proof, theory: Theory | Iterable[HornClause] | None = None) -> bool:
     """Recompute every step of ``proof`` and check it end to end.
 
@@ -163,37 +185,17 @@ def replay_proof(proof: Proof, theory: Theory | Iterable[HornClause] | None = No
     equal the instantiated premise as head plus body multiset; the final
     clause must be alpha-equivalent to the claimed conclusion.  When a theory
     is supplied every input must be alpha-equivalent to one of its members.
+    A step that does not replay makes the answer False, never an exception.
     """
     if theory is not None:
-        members = list(theory)
-        for inp in proof.inputs:
-            if not any(alpha_equivalent(inp, m) for m in members):
-                return False
+        if not isinstance(theory, Theory):
+            theory = Theory(theory)
+        if not all(inp in theory for inp in proof.inputs):
+            return False
     available: list[HornClause] = list(proof.inputs)
     for step in proof.steps:
-        if any(p not in available for p in step.premises):
-            return False
-        if step.kind in (KIND_SLD, KIND_RESOLUTION):
-            if len(step.premises) != 2 or step.body_index is None:
-                return False
-            redone = resolve(step.premises[0], step.premises[1],
-                             step.body_index, kind=step.kind)
-            if redone is None or redone.conclusion != step.conclusion:
-                return False
-        elif step.kind == KIND_FACTORING:
-            if len(step.premises) != 1 or step.factor_indices is None:
-                return False
-            redone = factor(step.premises[0], *step.factor_indices)
-            if redone is None or redone.conclusion != step.conclusion:
-                return False
-        elif step.kind == KIND_UNIFICATION:
-            if len(step.premises) != 1 or step.unifier is None:
-                return False
-            if not _multiset_equal(
-                    apply_substitution(step.premises[0], step.unifier),
-                    step.conclusion):
-                return False
-        else:
+        if any(p not in available for p in step.premises) \
+                or not _step_replays(step):
             return False
         available.append(step.conclusion)
     if proof.steps:
@@ -249,9 +251,8 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     if not isinstance(theory, Theory):
         theory = Theory(theory)
 
-    reps: dict = {}
+    reps: dict = {}  # canonical key -> representative, in admission order
     prov: dict = {}
-    order: list = []
     levels: list[tuple[HornClause, ...]] = []
     truncated = False
     target_hit: HornClause | None = None
@@ -264,12 +265,10 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         if max_clauses is not None and len(reps) >= max_clauses:
             truncated = True
             return
-        rep, _ = canonical_form(raw)
-        key = canonical_key(rep)
+        key, rep = canonical(raw)
         if key in reps:
             return
         reps[key] = rep
-        order.append(key)
         if record is not None:
             prov[key] = record
         new_keys.append(key)
@@ -290,7 +289,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         depth += 1
         new_keys: list = []
         if premise_pool == "closure":
-            snapshot = list(order)
+            snapshot = list(reps)
             in_frontier = set(frontier)
             pairs = [(k1, k2) for k1 in frontier for k2 in snapshot]
             pairs += [(k1, k2) for k1 in snapshot if k1 not in in_frontier
@@ -332,7 +331,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         truncated = True
 
     return ClosureResult(
-        clauses=tuple(reps[k] for k in order),
+        clauses=tuple(reps.values()),
         levels=tuple(levels),
         truncated=truncated,
         target_hit=target_hit,
@@ -422,9 +421,9 @@ def _shape(c: HornClause) -> tuple:
 
 
 def _instance_axiom_proof(theory: Theory, target: HornClause) -> Proof | None:
-    for m in theory:
-        if alpha_equivalent(target, m):
-            return Proof((m,), (), target)
+    m = theory.find(target)
+    if m is not None:
+        return Proof((m,), (), target)
     for m in theory:
         step = unify_onto(m, target)
         if step is not None:
@@ -473,6 +472,7 @@ def _inverse_single_step(theory: Theory, target: HornClause,
         return None
     index = _theory_shape_index(theory)
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
+    goal = canonical_key(target)
     for c1, c2, _ in single_step_candidates(target, max_arity):
         firsts = [d for d in index.get(_shape(c1), ())
                   if is_instance(c1, d) is not None]
@@ -483,7 +483,7 @@ def _inverse_single_step(theory: Theory, target: HornClause,
         for d1 in firsts:
             for d2 in seconds:
                 for step in resolvents(d1, d2, kind=kind):
-                    if alpha_equivalent(target, step.conclusion):
+                    if canonical_key(step.conclusion) == goal:
                         return Proof((d1, d2), (step,), target)
                     final = unify_onto(step.conclusion, target)
                     if final is not None:
@@ -580,19 +580,25 @@ def proof_to_json_dict(proof: Proof) -> dict:
 def proof_from_json_dict(data: dict) -> Proof:
     """Rebuild a :class:`Proof` serialized by :func:`proof_to_json_dict`.
 
-    Raises ValueError on a malformed record: a missing key, or a premise
-    reference that is not an ``["input", i]`` or ``["step", j]`` pair naming
-    an existing input or an earlier step.
+    Raises ValueError on a malformed record: a missing key, a field of the
+    wrong JSON type, or a premise reference that is not an ``["input", i]``
+    or ``["step", j]`` pair naming an existing input or an earlier step.
     """
     from hornreduce.clauses import parse_clause
 
-    def field(record, key: str):
-        if not isinstance(record, dict) or key not in record:
+    def field(record, key: str, kind: type, optional: bool = False):
+        if not isinstance(record, dict) or not (optional or key in record):
             raise ValueError(f"proof record lacks {key!r}")
-        return record[key]
+        value = record.get(key)
+        if (value is not None or not optional) and type(value) is not kind:
+            raise ValueError(f"proof record {key!r} is not a {kind.__name__}")
+        return value
 
-    inputs = tuple(parse_clause(t) for t in field(data, "inputs"))
-    conclusion = parse_clause(field(data, "conclusion"))
+    inputs = field(data, "inputs", list)
+    if any(type(t) is not str for t in inputs):
+        raise ValueError(f"proof inputs are not all clause texts: {inputs!r}")
+    inputs = tuple(parse_clause(t) for t in inputs)
+    conclusion = parse_clause(field(data, "conclusion", str))
     steps: list[InferenceStep] = []
 
     def deref(ref) -> HornClause:
@@ -605,22 +611,30 @@ def proof_from_json_dict(data: dict) -> Proof:
                 return steps[i].conclusion
         raise ValueError(f"bad premise reference {ref!r}")
 
-    for entry in field(data, "steps"):
-        premises = tuple(deref(r) for r in field(entry, "premises"))
-        step_conclusion = parse_clause(field(entry, "conclusion"))
-        pivot = None
-        if "pivot" in entry:
-            pivot = parse_clause(entry["pivot"] + ".").head
-        unifier = None
-        if "unifier" in entry:
-            unifier = Substitution.from_json_dict(entry["unifier"])
+    for entry in field(data, "steps", list):
+        premises = tuple(deref(r) for r in field(entry, "premises", list))
+        step_conclusion = parse_clause(field(entry, "conclusion", str))
+        pivot = field(entry, "pivot", str, optional=True)
+        if pivot is not None:
+            pivot = parse_clause(pivot + ".").head
+        unifier = field(entry, "unifier", dict, optional=True)
+        if unifier is not None:
+            try:
+                unifier = Substitution.from_json_dict(unifier)
+            except (TypeError, AttributeError) as exc:
+                raise ValueError(f"malformed unifier: {exc}") from None
+        factor_indices = field(entry, "factor_indices", list, optional=True)
+        if factor_indices is not None:
+            if len(factor_indices) != 2 \
+                    or any(type(i) is not int for i in factor_indices):
+                raise ValueError(f"bad factor indices {factor_indices!r}")
+            factor_indices = tuple(factor_indices)
         steps.append(InferenceStep(
-            kind=field(entry, "kind"),
+            kind=field(entry, "kind", str),
             premises=premises,
             conclusion=step_conclusion,
-            body_index=entry.get("body_index"),
-            factor_indices=tuple(entry["factor_indices"])
-            if "factor_indices" in entry else None,
+            body_index=field(entry, "body_index", int, optional=True),
+            factor_indices=factor_indices,
             pivot=pivot,
             unifier=unifier,
         ))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import hornreduce.clauses
 from hornreduce.clauses import (
     ArityMismatchError,
     Atom,
@@ -15,6 +16,7 @@ from hornreduce.clauses import (
     Theory,
     alpha_equivalent,
     apply_substitution,
+    canonical,
     canonical_form,
     canonical_key,
     compose,
@@ -221,6 +223,72 @@ def test_headless_clause_canonicalizes():
     assert not alpha_equivalent(c, cl("P(y) :- B(y), A(y,z)."))
 
 
+def symmetric_body(n: int, head: str = "x,y") -> HornClause:
+    """``P0(head) :- P1(x,y), ..., Pn(x,y).``: every body atom is
+    interchangeable with every other."""
+    return cl(f"P0({head}) :- "
+              + ", ".join(f"P{i}(x,y)" for i in range(1, n + 1)) + ".")
+
+
+def random_symmetric_clause(rng: random.Random, max_body=7) -> HornClause:
+    """A clause whose body repeats a few argument tuples under unique and
+    shared predicates, so ties between interchangeable atoms abound."""
+    terms = ["x", "y", "z"][:rng.randint(1, 3)]
+    shared = [PredVar(f"Q{i}", 2) for i in range(rng.randint(0, 2))]
+    tuples = [tuple(rng.choice(terms) for _ in range(2))
+              for _ in range(rng.randint(1, 3))]
+    body = []
+    for i in range(rng.randint(1, max_body)):
+        pred = rng.choice(shared) if shared and rng.random() < 0.4 \
+            else PredVar(f"P{i + 1}", 2)
+        body.append(Atom(pred, rng.choice(tuples)))
+    head_pred = rng.choice(shared) if shared and rng.random() < 0.2 \
+        else PredVar("P0", 2)
+    return HornClause(Atom(head_pred, rng.choice(tuples)), tuple(body))
+
+
+@pytest.mark.parametrize("c", [
+    symmetric_body(7),
+    symmetric_body(6, "y,x"),
+    symmetric_body(5, "x,x"),
+    cl("P0(x,y) :- P1(x,y), P2(y,x), P3(x,y), P4(y,x), P5(x,y), P6(y,x)."),
+    cl("P0(x,y) :- Q(x,y), Q(x,y), P1(x,y), P2(x,y), P3(y,x), P4(x,y)."),
+    cl("P0(x,y) :- Q(x,y), P1(x,y), Q(y,x), P2(y,x), P3(x,z), P4(x,z)."),
+    cl("Q(x,y) :- Q(x,y), P1(x,y), P2(x,y), P3(y,y), P4(y,y), P5(y,y)."),
+], ids=["seven", "six-swapped-head", "five-diagonal-head", "two-orbits",
+        "shared-and-unique", "mixed", "head-predicate-in-body"])
+def test_canonical_matches_oracle_on_symmetric_bodies(c):
+    assert canonical_key(c) == oracle_canonical_key(c)
+
+
+def test_canonical_matches_oracle_on_random_symmetric_clauses():
+    rng = random.Random(23)
+    for _ in range(60):
+        c = random_symmetric_clause(rng)
+        assert canonical_key(c) == oracle_canonical_key(c)
+
+
+def test_symmetric_body_canonicalizes_without_branching(monkeypatch):
+    # n interchangeable atoms once cost n! serialization leaves; one branch
+    # per orbit keeps the tentative atom keys quadratic in n.
+    calls = []
+    atom_key = hornreduce.clauses._atom_key
+    monkeypatch.setattr(hornreduce.clauses, "_atom_key",
+                        lambda *a: calls.append(1) or atom_key(*a))
+    c = symmetric_body(12)
+    key = canonical_key(c)
+    assert len(calls) == 79
+    assert key == (True, ((0, 1, 2),) + tuple((i, 1, 2) for i in range(1, 13)))
+    assert str(canonical_form(c)[0]) == str(c).replace("x,y", "x1,x2")
+
+
+def test_canonical_is_key_and_representative_at_once():
+    rng = random.Random(29)
+    for _ in range(100):
+        c = random_clause(rng)
+        assert canonical(c) == (canonical_key(c), canonical_form(c)[0])
+
+
 def test_duplicate_body_atoms_preserved():
     c = cl("P(x) :- Q(x), Q(x), R(x).")
     canon, _ = canonical_form(c)
@@ -390,6 +458,28 @@ def test_theory_without():
     t2 = t.without(cl("A(y) :- B(y)."))
     assert len(t2) == 1
     assert cl("P(x) :- Q(x), R(x).") in t2
+
+
+def test_theory_find_returns_stored_variant():
+    stored = cl("P(x) :- Q(x), R(x).")
+    t = Theory([cl("P(x) :- Q(x)."), stored])
+    assert t.find(cl("A(k) :- C(k), B(k).")) is stored
+    assert t.find(cl("A(k) :- B(k), B(k), B(k).")) is None
+    assert t.clauses == (cl("P(x) :- Q(x)."), stored)
+
+
+@pytest.mark.parametrize("size", [3, 60])
+def test_theory_queries_canonicalize_only_their_argument(monkeypatch, size):
+    t = Theory(symmetric_body(n) for n in range(1, size + 1))
+    calls = []
+    serialize = hornreduce.clauses._canonical_serialization
+    monkeypatch.setattr(hornreduce.clauses, "_canonical_serialization",
+                        lambda c: calls.append(c) or serialize(c))
+    probe = symmetric_body(2)
+    rest = t.without(probe)
+    assert (len(calls), len(rest), list(rest)[:1]) == (1, size - 1, [t.clauses[0]])
+    assert probe in t and len(calls) == 2
+    assert t.find(probe) is t.clauses[1] and len(calls) == 3
 
 
 def test_theory_accepts_clause_local_names():

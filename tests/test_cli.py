@@ -1,10 +1,12 @@
 """End-to-end command-line interface behavior."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import hornreduce.clauses
 from hornreduce.clauses import Theory, alpha_equivalent, canonical_key, parse_clause
 from hornreduce.fragments import enumerate_fragment, horn_2c
 from hornreduce.cli import run
@@ -119,6 +121,25 @@ def test_reduce_negative_max_depth_is_usage_error():
     assert code == 64
     assert out == ""
     assert "must not be negative" in err
+
+
+def test_reduce_theory_with_twelve_interchangeable_body_atoms(tmp_path,
+                                                             monkeypatch):
+    # The long clause's body atoms tie at every step of its canonical
+    # serialization; branching on each of them cost 12! leaves per call.
+    body = ", ".join(f"P{i}(x,y)" for i in range(1, 13))
+    path = tmp_path / "symmetric.thy"
+    path.write_text(f"P0(x,y) :- P1(x,y).\nP0(x,y) :- {body}.\n",
+                    encoding="utf-8")
+    calls = []
+    atom_key = hornreduce.clauses._atom_key
+    monkeypatch.setattr(hornreduce.clauses, "_atom_key",
+                        lambda *a: calls.append(1) or atom_key(*a))
+    code, out, _ = run(["reduce", "--theory", str(path)])
+    assert code == 0
+    core = json.loads(out)["core"]
+    assert [parse_clause(c).body_size for c in core] == [1, 12]
+    assert len(calls) < 1000
 
 
 def test_reduce_stdout_is_deterministic():
@@ -293,22 +314,38 @@ def test_extend_validates_flags():
 # Frozen check/extend output
 # ---------------------------------------------------------------------------
 
-# Exit codes and stdout of check and extend command lines, captured before
+# Exit codes and stdout of command lines, pinned by sha256 for large
+# payloads.  ``cli_golden.json`` holds check and extend lines captured before
 # the sld and standard searches were merged into one: the base, chain,
 # dyadic 3-cycle and triadic clauses under both modes, both methods and the
 # c/2c premise classes, the inconclusive pool cap, the target-directed
-# forward fallback, and extension depths 0-2.
-GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
-                    .read_text(encoding="utf-8"))
+# forward fallback, and extension depths 0-2.  ``reduce_derive_golden.json``
+# holds reduce and derive lines captured before each clause's canonical key
+# got one owner: fragments 2,2,c and 2,3,c in sld mode and 1,4,c in
+# standard mode, the README's three-clause theory in both modes, and derive
+# cases answering found (one step, a depth-2 closure, a standard
+# factoring), not-derivable and unknown.  A case with a ``theory`` runs with
+# the text written to a file whose path replaces the argv token ``THEORY``.
+GOLDEN = [case for name in ("cli_golden.json", "reduce_derive_golden.json")
+          for case in json.loads((Path(__file__).parent / "data" / name)
+                                 .read_text(encoding="utf-8"))]
 
 
 @pytest.mark.parametrize("case", GOLDEN,
                          ids=[f"{i:02d}-{c['argv'][0]}"
                               for i, c in enumerate(GOLDEN)])
-def test_check_and_extend_stdout_is_frozen(case):
-    code, out, _ = run(case["argv"])
+def test_check_and_extend_stdout_is_frozen(case, tmp_path):
+    argv = case["argv"]
+    if "theory" in case:
+        path = tmp_path / "theory.thy"
+        path.write_text(case["theory"], encoding="utf-8")
+        argv = [str(path) if a == "THEORY" else a for a in argv]
+    code, out, _ = run(argv)
     assert code == case["exit"]
-    assert out == case["stdout"]
+    if "stdout_sha256" in case:
+        assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+    else:
+        assert out == case["stdout"]
 
 
 # ---------------------------------------------------------------------------

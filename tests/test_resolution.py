@@ -423,13 +423,42 @@ def tampered_cbase_record(edit):
     lambda d: d["steps"][0].pop("premises"),
     lambda d: d["steps"][0].pop("kind"),
     lambda d: d["steps"][1].pop("conclusion"),
+    lambda d: d["steps"][0].__setitem__("body_index", "3"),
+    lambda d: d["steps"][1].__setitem__("factor_indices", 2),
+    lambda d: d["steps"][0].__setitem__("pivot", 7),
+    lambda d: d.__setitem__("conclusion", 7),
+    lambda d: d["steps"][0].__setitem__("unifier", []),
+    lambda d: d.__setitem__("steps", 2),
+    lambda d: d["inputs"].__setitem__(0, 3),
 ], ids=["step-out-of-range", "input-out-of-range", "negative-input",
         "three-element-ref", "unknown-ref-kind", "non-integer-index",
         "no-inputs", "no-steps", "no-conclusion", "no-step-premises",
-        "no-step-kind", "no-step-conclusion"])
+        "no-step-kind", "no-step-conclusion", "string-body-index",
+        "int-factor-indices", "int-pivot", "int-conclusion", "list-unifier",
+        "int-steps", "int-input"])
 def test_proof_json_rejects_malformed_record(edit):
     with pytest.raises(ValueError):
         proof_from_json_dict(tampered_cbase_record(edit))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["steps"][0].__setitem__("body_index", 99),
+    lambda d: d["steps"][0].__setitem__("body_index", -1),
+    lambda d: d["steps"][1].__setitem__("factor_indices", [5, 9]),
+    lambda d: d["steps"][1].__setitem__("factor_indices", [3, 2]),
+], ids=["body-index-99", "negative-body-index", "factor-indices-5-9",
+        "factor-indices-descending"])
+def test_replay_rejects_steps_naming_missing_positions(edit):
+    proof = proof_from_json_dict(tampered_cbase_record(edit))
+    assert replay_proof(proof) is False
+
+
+def test_replay_rejects_resolving_on_a_headless_premise():
+    first = cl("P(x) :- Q(x).")
+    headless = HornClause(None, (Atom.of("R", "y"),))
+    step = InferenceStep(kind=KIND_SLD, premises=(first, headless),
+                         conclusion=first, body_index=0)
+    assert replay_proof(Proof((first, headless), (step,), first)) is False
 
 
 def test_proof_json_detects_missing_reference():
