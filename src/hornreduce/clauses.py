@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 class ArityMismatchError(ValueError):
@@ -673,6 +673,13 @@ class Theory:
     def find(self, c: HornClause) -> HornClause | None:
         """The member alpha-equivalent to ``c``, or None."""
         return self._by_key.get(canonical_key(c))
+
+    def ordered(self, order: Callable[[tuple, HornClause], Any]) -> "Theory":
+        """The same members, reordered by ``order(canonical key, clause)``."""
+        out = Theory()
+        out._by_key = dict(sorted(self._by_key.items(),
+                                  key=lambda kc: order(*kc)))
+        return out
 
     def without(self, c: HornClause) -> "Theory":
         rest = Theory()

@@ -36,7 +36,6 @@ from hornreduce.clauses import (
     Substitution,
     Theory,
     canonical,
-    canonical_key,
     fresh_names,
     is_instance,
     parse_clause,
@@ -620,9 +619,9 @@ def _splice_inputs(proof: Proof, providers: dict) -> Proof | None:
         p = Proof(inputs, tuple(steps) + p.steps, p.conclusion)
 
 
-def _removal_order(d: HornClause) -> tuple:
+def _removal_order(key: tuple, d: HornClause) -> tuple:
     """Greedy visiting order: largest body first, ties by canonical key."""
-    return (-d.body_size, canonical_key(d))
+    return (-d.body_size, key)
 
 
 def _recompose(core: Theory, removed: list) -> tuple[bool, object]:
@@ -654,7 +653,7 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     t = theory if isinstance(theory, Theory) else Theory(theory)
     bounds = {"max_depth": max_depth, "max_body": max_body,
               "max_clauses": max_clauses}
-    survivors = Theory(sorted(t, key=_removal_order))
+    survivors = t.ordered(_removal_order)
     removed: list[tuple[HornClause, Proof]] = []
     bounds_hit = False
     while True:
@@ -679,7 +678,7 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
             return ReductionReport(core=survivors, removed=tuple(out),
                                    bounds_hit=bounds_hit, mode=mode,
                                    bounds=bounds)
-        survivors = Theory(sorted([*survivors, out], key=_removal_order))
+        survivors = Theory([*survivors, out]).ordered(_removal_order)
         removed = [(d, p) for d, p in removed if d is not out]
         bounds_hit = True
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from hornreduce.clauses import (
     Atom,
@@ -83,6 +83,8 @@ def resolve(c1: HornClause, c2: HornClause, body_index: int,
         raise ValueError("second premise must have a head to resolve upon")
     if not 0 <= body_index < len(c1.body):
         raise IndexError(f"body index {body_index} out of range")
+    if c1.body[body_index].pred.arity != c2.head.pred.arity:
+        return None
     c2r, _ = rename_apart(c2, avoid_terms=c1.term_vars(),
                           avoid_preds=(p.name for p in c1.pred_vars()))
     theta = mgu(c1.body[body_index], c2r.head)
@@ -431,7 +433,8 @@ def _instance_axiom_proof(theory: Theory, target: HornClause) -> Proof | None:
     return None
 
 
-def single_step_candidates(target: HornClause, max_arity: int
+def single_step_candidates(target: HornClause, max_arity: int,
+                           shapes: Collection[tuple] | None = None
                            ) -> Iterator[tuple[HornClause, HornClause, int]]:
     """Most general premise pairs that resolve back onto ``target``.
 
@@ -441,6 +444,13 @@ def single_step_candidates(target: HornClause, max_arity: int
     but the target forgets).  Completeness for one resolution step plus a
     final unification follows by lifting: any premise pair deriving the
     target instantiates one of these.
+
+    Given ``shapes``, the shapes of a theory's members (see ``_shape``), a
+    pair is yielded only when both premises have a member's shape, and a
+    split or pivot arity no pair of member shapes fits builds nothing.  An
+    instance has its clause's shape, so any pair of members deriving the
+    target still instantiates one of the yielded pairs; the stream is the
+    unrestricted one minus the skipped pairs, in the same order.
     """
     body = target.body
     vars_c = list(target.term_vars())
@@ -449,12 +459,31 @@ def single_step_candidates(target: HornClause, max_arity: int
     pred_names = {p.name for p in target.pred_vars()}
     pivot_name = next(fresh_names("Q", pred_names))
     n = len(body)
-    for mask in range(2 ** n):
+    head = _shape(target)[:2]
+    if shapes is None:
+        masks: Iterable[int] = range(2 ** n)
+    else:
+        # side 2 of size s needs a member with a head and body size s, and
+        # side 1 plus the pivot a member with the target's head and n - s + 1
+        seconds = {sh[2] for sh in shapes if sh[0]}
+        firsts = {sh[2] for sh in shapes if sh[:2] == head}
+        masks = sorted(sum(1 << i for i in moved)
+                       for s in range(n + 1)
+                       if s in seconds and n - s + 1 in firsts
+                       for moved in itertools.combinations(range(n), s))
+    for mask in masks:
         moved = [i for i in range(n) if mask >> i & 1]
         kept = [i for i in range(n) if not mask >> i & 1]
         b1 = tuple(body[i] for i in kept)
         b2 = tuple(body[i] for i in moved)
+        arities1 = [a.pred.arity for a in b1]
+        shape2 = (len(b2), tuple(sorted(a.pred.arity for a in b2)))
         for k in range(1, max_arity + 1):
+            if shapes is not None and (
+                    (True, k) + shape2 not in shapes
+                    or head + (len(b1) + 1, tuple(sorted(arities1 + [k])))
+                    not in shapes):
+                continue
             pred = PredVar(pivot_name, k)
             options = [vars_c + [fresh_pool[pos]] for pos in range(k)]
             for args in itertools.product(*options):
@@ -473,7 +502,7 @@ def _inverse_single_step(theory: Theory, target: HornClause,
     index = _theory_shape_index(theory)
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
     goal = canonical_key(target)
-    for c1, c2, _ in single_step_candidates(target, max_arity):
+    for c1, c2, _ in single_step_candidates(target, max_arity, index):
         firsts = [d for d in index.get(_shape(c1), ())
                   if is_instance(c1, d) is not None]
         if not firsts:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hornreduce.clauses
+import hornreduce.resolution
 from hornreduce.clauses import Theory, alpha_equivalent, canonical_key, parse_clause
 from hornreduce.fragments import enumerate_fragment, horn_2c
 from hornreduce.cli import run
@@ -140,6 +141,44 @@ def test_reduce_theory_with_twelve_interchangeable_body_atoms(tmp_path,
     core = json.loads(out)["core"]
     assert [parse_clause(c).body_size for c in core] == [1, 12]
     assert len(calls) < 1000
+
+
+def symmetric_theory(n: int) -> str:
+    # A symmetric line of n atoms, derivable in one step from an n-1 line
+    # and a two-atom clause: only splits moving two atoms fit their shapes.
+    line = ", ".join(f"P{i}(x,y)" for i in range(1, n + 1))
+    near = ", ".join(f"P{i}(x,y)" for i in range(1, n - 1))
+    return ("P0(x,y) :- P1(x,y).\n" f"P0(x,y) :- {line}.\n"
+            f"P0(x,y) :- R(x), {near}.\n" "S(x) :- P1(x,y), P2(x,y).\n")
+
+
+# stdout sha256 of ``reduce --theory`` on symmetric_theory(10), captured
+# before the inverse search was shape-directed; that search yielded 12,469
+# premise pairs there, doubling per body atom.
+SYMMETRIC_10_SHA256 = \
+    "2970216154e25101a0a96e3ed3c4204d84c94fab03a273ff68ca07ca29583e6b"
+
+
+@pytest.mark.parametrize("n", [10, 24])
+def test_reduce_theory_with_long_symmetric_lines(tmp_path, monkeypatch, n):
+    path = tmp_path / "symmetric.thy"
+    path.write_text(symmetric_theory(n), encoding="utf-8")
+    yielded = []
+    candidates = hornreduce.resolution.single_step_candidates
+    monkeypatch.setattr(hornreduce.resolution, "single_step_candidates",
+                        lambda *a: (yielded.append(p) or p
+                                    for p in candidates(*a)))
+    code, out, _ = run(["reduce", "--theory", str(path)])
+    assert code == 0
+    # The first pair fitting the theory's shapes derives the long line;
+    # the other clauses' searches build no pair at all.
+    assert len(yielded) <= 10
+    if n == 10:
+        assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIC_10_SHA256
+    payload = json.loads(out)
+    assert [parse_clause(c).body_size for c in payload["core"]] == [1, 2, n - 1]
+    assert [parse_clause(r["clause"]).body_size
+            for r in payload["removed"]] == [n]
 
 
 def test_reduce_stdout_is_deterministic():
@@ -324,8 +363,13 @@ def test_extend_validates_flags():
 # got one owner: fragments 2,2,c and 2,3,c in sld mode and 1,4,c in
 # standard mode, the README's three-clause theory in both modes, and derive
 # cases answering found (one step, a depth-2 closure, a standard
-# factoring), not-derivable and unknown.  A case with a ``theory`` runs with
-# the text written to a file whose path replaces the argv token ``THEORY``.
+# factoring), not-derivable and unknown; it also holds derive lines
+# captured before the inverse search was shape-directed: body-3 and body-4
+# horn_c(2,4) goals from the 4-clause horn_c(2,3) core with max body 5,
+# standard mode at depth 1 and sld mode at depth 2, found and unknown (no
+# goal is not-derivable there: the core's first closure level is never
+# empty).  A case with a ``theory`` runs with the text written to a file
+# whose path replaces the argv token ``THEORY``.
 GOLDEN = [case for name in ("cli_golden.json", "reduce_derive_golden.json")
           for case in json.loads((Path(__file__).parent / "data" / name)
                                  .read_text(encoding="utf-8"))]

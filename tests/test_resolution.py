@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hornreduce.clauses import (
     Atom,
@@ -14,6 +15,7 @@ from hornreduce.clauses import (
     canonical_key,
     is_instance,
 )
+import hornreduce.resolution
 from hornreduce.resolution import (
     KIND_FACTORING,
     KIND_RESOLUTION,
@@ -33,6 +35,8 @@ from hornreduce.resolution import (
     search_derivation,
     single_step_candidates,
     unify_onto,
+    _shape,
+    _theory_shape_index,
 )
 
 from conftest import cl
@@ -50,6 +54,19 @@ def chain3() -> HornClause:
 # ---------------------------------------------------------------------------
 # Single inference rules
 # ---------------------------------------------------------------------------
+
+def test_resolve_rejects_arity_mismatch_before_renaming(monkeypatch):
+    calls = []
+    rename = hornreduce.resolution.rename_apart
+    monkeypatch.setattr(hornreduce.resolution, "rename_apart",
+                        lambda *a, **k: calls.append(a) or rename(*a, **k))
+    c1 = cl("P0(x) :- P1(x,y), P2(y).")
+    c2 = cl("Q0(u) :- Q1(u).")
+    assert resolve(c1, c2, 0) is None
+    assert calls == []
+    assert resolve(c1, c2, 1) is not None
+    assert len(calls) == 1
+
 
 def test_resolve_chain():
     c1 = cl("Reach(a,b) :- Edge(a,c), Reach(c,b).")
@@ -370,6 +387,38 @@ def test_single_step_candidates_resolve_back():
         assert step is not None
         assert is_instance(target, step.conclusion) is not None
     assert seen > 10
+
+
+def clauses_over(variables: str, max_body: int):
+    """Clauses of arity at most 3 over ``variables``, so atoms often repeat
+    a variable and, since the predicate name encodes the arity, a
+    predicate."""
+    atom = st.lists(st.sampled_from(variables), max_size=3).map(
+        lambda args: Atom.of(f"P{len(args)}", *args))
+    return st.builds(lambda head, body: HornClause(head, tuple(body)),
+                     st.none() | atom, st.lists(atom, max_size=max_body))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shape_restricted_candidates_filter_the_full_stream(corpus_c23, data):
+    # The theory mixes fragment members, random clauses and the premises
+    # of up to two full-stream pairs, so that pairs of one or two body
+    # split sizes survive.
+    target = data.draw(clauses_over("xyz", 6))
+    max_arity = data.draw(st.integers(1, 3))
+    full = list(single_step_candidates(target, max_arity))
+    members = data.draw(st.lists(st.sampled_from(corpus_c23), max_size=4))
+    members += data.draw(st.lists(clauses_over("xyzu", 4), max_size=3))
+    for _ in range(data.draw(st.integers(0, 2))):
+        members += data.draw(st.sampled_from(full))[:2]
+    index = _theory_shape_index(Theory(members))
+
+    def text(pairs):  # repr, since headless clauses have no text form
+        return [(repr(c1), repr(c2), i) for c1, c2, i in pairs]
+
+    assert text(single_step_candidates(target, max_arity, index)) == text(
+        p for p in full if _shape(p[0]) in index and _shape(p[1]) in index)
 
 
 def test_derives_wrapper():
