@@ -11,11 +11,18 @@ only have to respect the size bounds.
 Body sizes run from 1 to ``max_body``; facts are the degenerate fragment
 ``max_body=0``.  Enumeration is up to alpha-equivalence: one canonical
 representative per clause, deterministically ordered.
+
+Connectivity and most-generality are decided on per-variable literal masks
+(bit ``k`` set when literal ``k``, head first, holds the variable) rather
+than on clause graphs and split clauses.  Enumeration builds the raw
+clauses of every variable assignment and predicate pattern, filters them on
+those masks, and canonicalizes only the raw clauses that pass.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -29,7 +36,7 @@ from hornreduce.clauses import (
     fresh_names,
     pending_variables,
 )
-from hornreduce.graphs import is_connected
+from hornreduce.graphs import _spans, is_connected
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +84,7 @@ def horn_2c(max_arity: int, max_body: int) -> FragmentSpec:
 def _size_ok(spec: FragmentSpec, c: HornClause) -> bool:
     if c.head is None:
         return False
-    if any(not 1 <= p.arity <= spec.max_arity for p in c.pred_vars()):
+    if any(not 1 <= a.pred.arity <= spec.max_arity for a in c.literals()):
         return False
     if spec.max_body == 0:
         return c.body_size == 0
@@ -151,9 +158,66 @@ def single_splits(c: HornClause) -> Iterator[HornClause]:
 
 
 def most_general_in(spec: FragmentSpec, c: HornClause) -> bool:
-    """True iff no single split of ``c`` is a valid generalizer for ``spec``."""
-    valid = _structural_ok if spec.structural_generalizers else _size_ok
-    return not any(valid(spec, g) for g in single_splits(c))
+    """True iff no single split of ``c`` (:func:`single_splits`) is a valid
+    generalizer for ``spec``, decided on literal masks without building one.
+
+    A split keeps the head, the arities and the body size, so it passes
+    :func:`_size_ok` exactly when ``c`` does; it never joins literals that
+    ``c`` leaves apart nor gives a variable a second literal.  A predicate
+    split keeps the clause graph, and its predicates are distinct only when
+    ``c`` repeats one predicate exactly twice.  A term split renames some
+    occurrences of a variable apart, replacing its mask by two masks that
+    cover it; it is valid when the masks still span the literals (connected)
+    and both hold two literals (two-connected).
+    """
+    if not _size_ok(spec, c):
+        return True
+    literals = c.literals()
+    n = len(literals)
+    preds = [a.pred for a in literals]
+    repeats = (sorted(k for k in Counter(preds).values() if k > 1)
+               if len(set(preds)) < n else [])
+    masks: dict[str, int] = {}
+    multi: dict[str, int] = {}  # literals holding the variable twice or more
+    for k, atom in enumerate(literals):
+        bit = 1 << k
+        for v in atom.args:
+            m = masks.get(v, 0)
+            if m & bit:
+                multi[v] = multi.get(v, 0) | bit
+            masks[v] = m | bit
+    if not spec.structural_generalizers:
+        # every split is valid, so only a clause without one is most general
+        return not repeats and not multi and all(
+            m.bit_count() < 2 for m in masks.values())
+    if spec.two_connected and any(m.bit_count() < 2 for m in masks.values()):
+        return True
+    if repeats:
+        # a term split keeps the repeat; a predicate split keeps the graph
+        # and is valid unless the predicates must be distinct
+        if spec.connected and not _spans(masks.values(), n):
+            return True
+        return spec.distinct_predvars and repeats != [2]
+    for v, m in masks.items():
+        # Literals holding ``v`` more than once keep it on both sides of the
+        # split; that only adds to both masks, so it is never worse.  The
+        # other literals go wholly to one side, the first one's to ``m1``.
+        both = multi.get(v, 0)
+        free = m & ~both & ~(m & -m)
+        if not free | both:
+            continue  # a single occurrence has no split
+        others = [u for w, u in masks.items() if w != v]
+        t = free
+        while True:
+            m1, m2 = m & ~t, t | both
+            if m2 and (not spec.two_connected
+                       or min(m1.bit_count(), m2.bit_count()) >= 2) and (
+                    not spec.connected or _spans(others + [m1, m2], n)):
+                return False
+            if not t:
+                break
+            t = (t - 1) & free
+    return True
 
 
 def member(spec: FragmentSpec, c: HornClause) -> bool:
@@ -287,40 +351,40 @@ def _pred_patterns(spec: FragmentSpec, arities: tuple[int, ...]
         yield tuple(preds[i] for i in range(n))
 
 
-def _build_clause(arities: tuple[int, ...], preds: tuple[PredVar, ...],
-                  assignment: tuple[int, ...]) -> HornClause:
-    atoms: list[Atom] = []
-    pos = 0
-    for li, a in enumerate(arities):
-        args = tuple(f"x{assignment[pos + k] + 1}" for k in range(a))
-        atoms.append(Atom(preds[li], args))
-        pos += a
-    return HornClause(atoms[0], tuple(atoms[1:]))
-
-
-@lru_cache(maxsize=None)
-def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
-    """All fragment members, one canonical representative each, sorted by
-    body size, then body arity profile, head arity, and canonical key."""
-    keys: set = set()
+def _raw_clauses(spec: FragmentSpec) -> Iterator[HornClause]:
+    """Every clause enumeration builds: per arity profile, each variable
+    assignment under each predicate pattern."""
     body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
     for s in body_sizes:
         for head_arity in range(1, spec.max_arity + 1):
             for body_ar in itertools.combinations_with_replacement(
                     range(1, spec.max_arity + 1), s):
                 arities = (head_arity,) + body_ar
+                patterns = tuple(_pred_patterns(spec, arities))
+                names = tuple(f"x{b}" for b in range(1, sum(arities) + 1))
+                bounds = list(itertools.pairwise(
+                    itertools.accumulate(arities, initial=0)))
                 for assignment in _variable_assignments(spec, head_arity, body_ar):
-                    for preds in _pred_patterns(spec, arities):
-                        c = _build_clause(arities, preds, assignment)
-                        if spec.connected and not is_connected(c):
-                            continue
-                        if spec.two_connected and pending_variables(c):
-                            continue
-                        keys.add(canonical_key(c))
-    # Most raw clauses repeat a class, so representatives are spelled only
+                    named = tuple(map(names.__getitem__, assignment))
+                    args = [named[i:j] for i, j in bounds]
+                    for preds in patterns:
+                        head, *body = map(Atom, preds, args)
+                        yield HornClause(head, tuple(body))
+
+
+@lru_cache(maxsize=None)
+def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
+    """All fragment members, one canonical representative each, sorted by
+    body size, then body arity profile, head arity, and canonical key."""
+    # Raw clauses are filtered before canonicalization: most-generality is
+    # invariant under renaming, so only survivors need a key.
+    keys = {canonical_key(c) for c in _raw_clauses(spec)
+            if (not spec.connected or is_connected(c))
+            and not (spec.two_connected and pending_variables(c))
+            and (not spec.most_general or most_general_in(spec, c))}
+    # Most survivors repeat a class, so representatives are spelled only
     # from the distinct keys.
-    keyed = [(key, c) for key, c in ((k, _representative(k)) for k in keys)
-             if not spec.most_general or most_general_in(spec, c)]
+    keyed = [(key, _representative(key)) for key in keys]
     keyed.sort(key=lambda kc: (
         kc[1].body_size,
         tuple(sorted(a.pred.arity for a in kc[1].body)),

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from hornreduce.clauses import HornClause
+from hornreduce.clauses import Atom, HornClause
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,26 +62,11 @@ class ClauseGraph:
         """Index of the first body vertex (1 when the clause has a head)."""
         return 1 if self.clause.head is not None else 0
 
-    def incident(self, vertex: int) -> tuple[LabeledEdge, ...]:
-        return tuple(self._adj[vertex])
-
     def adjacent(self, u: int, v: int) -> bool:
         return any(e.other(u) == v for e in self._adj[u])
 
     def is_connected(self) -> bool:
-        n = len(self.atoms)
-        if n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for e in self._adj[u]:
-                w = e.other(u)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
+        return is_connected(self.clause)
 
     def bfs_spanning_tree(self, root: int = 0) -> tuple[LabeledEdge, ...] | None:
         """A breadth-first spanning tree, or None when the graph is disconnected."""
@@ -172,9 +157,42 @@ def clause_graph(c: HornClause) -> ClauseGraph:
     return ClauseGraph(c)
 
 
+def _literal_masks(literals: tuple[Atom, ...]) -> dict[str, int]:
+    """Each term variable's literal mask: bit ``k`` is set when literal ``k``
+    holds the variable, however often."""
+    masks: dict[str, int] = {}
+    for k, atom in enumerate(literals):
+        bit = 1 << k
+        for v in atom.args:
+            masks[v] = masks.get(v, 0) | bit
+    return masks
+
+
+def _spans(masks: Iterable[int], n: int) -> bool:
+    """True iff ``n`` literals are connected when each mask joins the
+    literals it holds: the union of the masks, grown from literal 0,
+    reaches every literal."""
+    full = (1 << n) - 1
+    reach = 1 & full
+    left = list(masks)
+    grown = True
+    while grown and reach != full:
+        grown = False
+        rest = []
+        for m in left:
+            if m & reach:
+                reach |= m
+                grown = True
+            else:
+                rest.append(m)
+        left = rest
+    return reach == full
+
+
 def is_connected(c: HornClause) -> bool:
     """True iff the clause graph is connected (single literals trivially are)."""
-    return ClauseGraph(c).is_connected()
+    literals = c.literals()
+    return _spans(_literal_masks(literals).values(), len(literals))
 
 
 def pair_outgoing_labels(tree: tuple[LabeledEdge, ...], u: int, v: int) -> frozenset[str]:

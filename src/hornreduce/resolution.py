@@ -380,7 +380,7 @@ def _proof_from_closure(result: ClosureResult, derived: HornClause,
             assert bridge is not None
             steps.append(bridge)
 
-    if alpha_equivalent(target, derived):
+    if canonical_key(target) == goal_key:
         return Proof(inputs, tuple(steps), target)
     final = unify_onto(reps[goal_key], target)
     assert final is not None

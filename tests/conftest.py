@@ -4,7 +4,13 @@ import itertools
 
 import pytest
 
-from hornreduce.clauses import Atom, HornClause, PredVar, parse_clause
+from hornreduce.clauses import (
+    Atom,
+    HornClause,
+    PredVar,
+    parse_clause,
+    pending_variables,
+)
 
 
 def cl(text: str) -> HornClause:
@@ -68,6 +74,54 @@ def oracle_cut_pending(c: HornClause, body_indices):
     occ2 = occurrences(c.body[k] for k in sorted(idx))
     return tuple(v for v in c.term_vars()
                  if v in occ1 and v in occ2 and 1 in (occ1[v], occ2[v]))
+
+
+def oracle_is_connected(c: HornClause) -> bool:
+    """Connectivity of the literal graph by breadth-first search over the
+    literal pairs that share a variable."""
+    lits = c.literals()
+    if len(lits) <= 1:
+        return True
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in range(len(lits)):
+                if w not in seen and set(lits[u].args) & set(lits[w].args):
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return len(seen) == len(lits)
+
+
+def oracle_size_ok(spec, c: HornClause) -> bool:
+    if c.head is None:
+        return False
+    if any(not 1 <= a.pred.arity <= spec.max_arity for a in c.literals()):
+        return False
+    if spec.max_body == 0:
+        return c.body_size == 0
+    return 1 <= c.body_size <= spec.max_body
+
+
+def oracle_structural_ok(spec, c: HornClause) -> bool:
+    preds = [a.pred for a in c.literals()]
+    return (oracle_size_ok(spec, c)
+            and not (spec.distinct_predvars and len(set(preds)) != len(preds))
+            and not (spec.connected and not oracle_is_connected(c))
+            and not (spec.two_connected and pending_variables(c)))
+
+
+def oracle_most_general_in(spec, c: HornClause) -> bool:
+    """Most-generality by building every single split and testing it."""
+    from hornreduce.fragments import single_splits
+    valid = oracle_structural_ok if spec.structural_generalizers else oracle_size_ok
+    return not any(valid(spec, g) for g in single_splits(c))
+
+
+def oracle_member(spec, c: HornClause) -> bool:
+    return oracle_structural_ok(spec, c) and (
+        not spec.most_general or oracle_most_general_in(spec, c))
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,14 @@
 """Fragment membership and enumeration against a brute-force oracle."""
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hornreduce import fragments
 from hornreduce.clauses import (
     Atom,
     HornClause,
@@ -27,7 +32,14 @@ from hornreduce.fragments import (
 )
 from hornreduce.graphs import is_connected
 
-from conftest import c_base, c_triadic, cl
+from conftest import (
+    c_base,
+    c_triadic,
+    cl,
+    oracle_is_connected,
+    oracle_member,
+    oracle_most_general_in,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +308,94 @@ def test_every_enumerated_clause_is_member():
     for spec in [horn_c(2, 3), horn_2c(2, 3), horn(2, 2)]:
         for c in enumerate_fragment(spec):
             assert member(spec, c)
+
+
+# ---------------------------------------------------------------------------
+# Mask verdicts against the split-building oracles
+# ---------------------------------------------------------------------------
+
+def verdicts_match_oracles(spec, c):
+    assert is_connected(c) == oracle_is_connected(c), c
+    assert most_general_in(spec, c) == oracle_most_general_in(spec, c), (spec, c)
+    assert member(spec, c) == oracle_member(spec, c), (spec, c)
+
+
+RAW_SPECS = {
+    "horn_c(2,4)": horn_c(2, 4),
+    "horn_2c(2,4)": horn_2c(2, 4),
+    "horn(2,3)": horn(2, 3),
+    "plain(2,2)": FragmentSpec(2, 2),
+    "horn_c(2,3)/size-only": FragmentSpec(
+        2, 3, connected=True, distinct_predvars=True, most_general=True,
+        structural_generalizers=False),
+}
+
+
+@pytest.mark.parametrize("name", RAW_SPECS)
+def test_mask_verdicts_match_oracles_on_raw_clauses(name):
+    """Every clause enumeration builds, before any filter."""
+    spec = RAW_SPECS[name]
+    for c in fragments._raw_clauses(spec):
+        verdicts_match_oracles(spec, c)
+
+
+@st.composite
+def mixed_clauses(draw):
+    """Headless or definite clauses of up to five body atoms over three
+    variables: predicates repeat (the name carries the arity), variables
+    repeat within an atom, and arities run from 1 to 3."""
+    atom = st.builds(
+        lambda name, args: Atom.of(f"{name}{len(args)}", *args),
+        st.sampled_from("PQ"),
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=3))
+    body = draw(st.lists(atom, max_size=5))
+    return HornClause(draw(st.none() | atom), tuple(body))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@example(cl("P1(a) :- P1(b)."), FragmentSpec(1, 1, connected=True))
+@given(mixed_clauses(),
+       st.builds(FragmentSpec, st.integers(1, 3), st.integers(0, 4),
+                 st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+                 st.booleans()))
+def test_mask_verdicts_match_oracles_on_random_clauses(c, spec):
+    verdicts_match_oracles(spec, c)
+
+
+def test_enumeration_canonicalizes_only_survivors(monkeypatch):
+    """A cold horn_c(2,3) enumeration keys the 370 raw clauses that pass
+    the connectivity and most-generality filters, not all 831 connected
+    ones."""
+    calls = []
+    key = fragments.canonical_key
+    monkeypatch.setattr(fragments, "canonical_key",
+                        lambda c: calls.append(c) or key(c))
+    got = enumerate_fragment.__wrapped__(horn_c(2, 3))
+    assert len(calls) == 370
+    assert got == enumerate_fragment(horn_c(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Frozen enumerations
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "enumeration_golden.json")
+                    .read_text())["fragments"]
+
+
+def golden_id(entry):
+    spec = entry["spec"]
+    flags = [k for k, v in spec.items() if v is True]
+    return ",".join([str(spec["max_arity"]), str(spec["max_body"]), *flags])
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=golden_id)
+def test_enumeration_matches_golden(entry, request):
+    spec = FragmentSpec(**entry["spec"])
+    # horn_c(3,3) comes from the shared session corpus, so it is enumerated
+    # once per run
+    members = (request.getfixturevalue("corpus_c33") if spec == horn_c(3, 3)
+               else enumerate_fragment(spec))
+    text = "".join(c.text() + "\n" for c in members)
+    assert len(members) == entry["count"]
+    assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]
