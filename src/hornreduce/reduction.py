@@ -39,6 +39,7 @@ from hornreduce.clauses import (
     fresh_names,
     is_instance,
     parse_clause,
+    rename_apart,
 )
 from hornreduce.fragments import FragmentSpec, enumerate_fragment, member
 from hornreduce.graphs import clause_graph, find_light_pair
@@ -48,6 +49,7 @@ from hornreduce.resolution import (
     MODES,
     InferenceStep,
     Proof,
+    _resolve_renamed,
     factor,
     replay_proof,
     resolve,
@@ -454,22 +456,25 @@ def _pool_scan(c: HornClause, pool: tuple[HornClause, ...], kind: str,
     """Exhaustive forward oracle: resolve every size- and arity-compatible
     pair of pool members at every position, follow each resolution with
     exactly the factoring chain its size surplus dictates (none in SLD,
-    where ``max_factor`` is 0), and instance-match against ``c``."""
+    where ``max_factor`` is 0), and instance-match against ``c``.  The pool
+    members are canonical representatives (``enumerate_fragment``), so each
+    is renamed apart once, not once per pair."""
     target = Counter(a.pred.arity for a in c.body)
     by_size: dict[int, list] = {}
     sig_ids: dict = {}  # (head arity, sorted body arities) -> small int
-    for d in pool:
+    for pos, d in enumerate(pool):
         sig = (d.head.pred.arity, tuple(sorted(a.pred.arity for a in d.body)))
         by_size.setdefault(d.body_size, []).append(
-            (d, sig, sig_ids.setdefault(sig, len(sig_ids))))
+            (d, sig, sig_ids.setdefault(sig, len(sig_ids)), pos))
     surplus: dict = {}  # d1 body arities -> d2 signature id -> surplus
+    renamed: dict = {}  # pool position -> the member renamed apart
     for chain in range(max_factor + 1):
         for s1 in sorted(by_size):
-            for d1, (d1_head, d1_body), _ in by_size[s1]:
+            for d1, (d1_head, d1_body), _, _ in by_size[s1]:
                 if d1_head != c.head.pred.arity:
                     continue
                 fits = surplus.setdefault(d1_body, {})
-                for d2, (pivot_arity, d2_body), d2_sig in \
+                for d2, (pivot_arity, d2_body), d2_sig, pos in \
                         by_size.get(c.body_size + chain + 1 - s1, ()):
                     extra = fits.get(d2_sig)
                     if extra is None:
@@ -477,10 +482,14 @@ def _pool_scan(c: HornClause, pool: tuple[HornClause, ...], kind: str,
                             target, d1_body, pivot_arity, d2_body)
                     if extra != chain:
                         continue
+                    # a fit puts a body atom of the pivot's arity in d1
+                    d2r = renamed.get(pos)
+                    if d2r is None:
+                        d2r = renamed[pos] = rename_apart(d2)[0]
                     for idx, atom in enumerate(d1.body):
                         if atom.pred.arity != pivot_arity:
                             continue
-                        step = resolve(d1, d2, idx, kind=kind)
+                        step = _resolve_renamed(d1, d2, d2r, idx, kind)
                         hit = _factor_chain([step], chain, c) if step else None
                         if hit is not None:
                             return hit

@@ -25,8 +25,8 @@ from hornreduce.clauses import (
     Substitution,
     Theory,
     alpha_equivalent,
+    _representative,
     apply_substitution,
-    canonical,
     canonical_key,
     fresh_names,
     is_instance,
@@ -87,6 +87,19 @@ def resolve(c1: HornClause, c2: HornClause, body_index: int,
         return None
     c2r, _ = rename_apart(c2, avoid_terms=c1.term_vars(),
                           avoid_preds=(p.name for p in c1.pred_vars()))
+    return _resolve_renamed(c1, c2, c2r, body_index, kind)
+
+
+def _resolve_renamed(c1: HornClause, c2: HornClause, c2r: HornClause,
+                     body_index: int, kind: str) -> InferenceStep | None:
+    """:func:`resolve` on ``c2`` already renamed apart as ``c2r``, without
+    its argument checks.
+
+    Lets a forward scan rename each premise once, as ``rename_apart(c2)[0]``.
+    That is the renaming :func:`resolve` makes whenever ``c1`` uses no name
+    ``rename_apart`` draws (``v<i>``, ``Q<i>``), as canonical representatives
+    (``x<i>``, ``P<i>``) do; the step is then the one :func:`resolve` returns.
+    """
     theta = mgu(c1.body[body_index], c2r.head)
     if theta is None:
         return None
@@ -267,10 +280,10 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         if max_clauses is not None and len(reps) >= max_clauses:
             truncated = True
             return
-        key, rep = canonical(raw)
+        key = canonical_key(raw)
         if key in reps:
             return
-        reps[key] = rep
+        reps[key] = rep = _representative(key)
         if record is not None:
             prov[key] = record
         new_keys.append(key)
@@ -286,6 +299,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     theory_keys = list(level_keys)
 
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
+    renamed: dict = {}  # premise key -> its representative renamed apart
     depth = 0
     while frontier and depth < max_depth and target_hit is None:
         depth += 1
@@ -304,8 +318,13 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
             c1, c2 = reps[k1], reps[k2]
             if c2.head is None:
                 continue
-            for i in range(len(c1.body)):
-                step = resolve(c1, c2, i, kind=kind)
+            c2r = renamed.get(k2)
+            if c2r is None:
+                c2r = renamed[k2] = rename_apart(c2)[0]
+            for i, atom in enumerate(c1.body):
+                if atom.pred.arity != c2.head.pred.arity:
+                    continue
+                step = _resolve_renamed(c1, c2, c2r, i, kind)
                 if step is not None:
                     admit(step.conclusion, _Prov(kind, (k1, k2), body_index=i),
                           new_keys)

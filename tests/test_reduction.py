@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornreduce.clauses
+import hornreduce.reduction
+import hornreduce.resolution
 from hornreduce.clauses import (
     Atom,
     HornClause,
@@ -387,15 +389,36 @@ def test_methods_agree_on_dyadic_two_connected_corpus_standard(corpus_2c24):
     assert reducible == len(targets) == 792
 
 
-def test_methods_agree_on_full_pool_sample(corpus_2c24):
-    frag = horn_2c(2, 4)
-    for c in [c for c in corpus_2c24 if c.body_size >= 3][::37]:
+def test_forward_oracle_renames_each_pool_member_once(monkeypatch):
+    # the pool is horn_c(2,4) up to body 2, 54 members; renaming per
+    # compatible pair took 174 renames on this target
+    calls = []
+    for module in (hornreduce.resolution, hornreduce.reduction):
+        rename = module.rename_apart
+        monkeypatch.setattr(module, "rename_apart",
+                            lambda *a, rename=rename, **k:
+                            calls.append(a) or rename(*a, **k))
+    c = cl("P0(x1,x2) :- P1(x2,x3), P2(x3,x4), P3(x4).")
+    assert is_reducible(c, "sld", horn_c(2, 4), METHOD_FORWARD) is not None
+    assert 0 < len(calls) <= 54
+
+
+def full_pool_sample(corpus_2c24, corpus_c24):
+    """Every 37th body >= 3 member of horn_2c(2,4) and every 6th of
+    horn_c(2,4) (238 targets, about 6 s a mode), with its fragment."""
+    for frag, corpus, stride in ((horn_2c(2, 4), corpus_2c24, 37),
+                                 (horn_c(2, 4), corpus_c24, 6)):
+        for c in [c for c in corpus if c.body_size >= 3][::stride]:
+            yield c, frag
+
+
+def test_methods_agree_on_full_pool_sample(corpus_2c24, corpus_c24):
+    for c, frag in full_pool_sample(corpus_2c24, corpus_c24):
         assert_methods_agree(c, frag, "sld")
 
 
-def test_methods_agree_on_full_pool_sample_standard(corpus_2c24):
-    frag = horn_2c(2, 4)
-    for c in [c for c in corpus_2c24 if c.body_size >= 3][::37]:
+def test_methods_agree_on_full_pool_sample_standard(corpus_2c24, corpus_c24):
+    for c, frag in full_pool_sample(corpus_2c24, corpus_c24):
         assert_methods_agree(c, frag, "standard")
 
 

@@ -1,5 +1,6 @@
 """Resolution steps, proof replay, closures, derivation search."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from hornreduce.clauses import (
     apply_substitution,
     canonical_key,
     is_instance,
+    rename_apart,
 )
+from hornreduce.fragments import enumerate_fragment, horn_2c, horn_c
 import hornreduce.resolution
 from hornreduce.resolution import (
     KIND_FACTORING,
@@ -35,6 +38,7 @@ from hornreduce.resolution import (
     search_derivation,
     single_step_candidates,
     unify_onto,
+    _resolve_renamed,
     _shape,
     _theory_shape_index,
 )
@@ -55,17 +59,38 @@ def chain3() -> HornClause:
 # Single inference rules
 # ---------------------------------------------------------------------------
 
-def test_resolve_rejects_arity_mismatch_before_renaming(monkeypatch):
+def count_renames(monkeypatch) -> list:
+    """Record every clause ``rename_apart`` is called on in resolution."""
     calls = []
     rename = hornreduce.resolution.rename_apart
     monkeypatch.setattr(hornreduce.resolution, "rename_apart",
                         lambda *a, **k: calls.append(a) or rename(*a, **k))
+    return calls
+
+
+def test_resolve_rejects_arity_mismatch_before_renaming(monkeypatch):
+    calls = count_renames(monkeypatch)
     c1 = cl("P0(x) :- P1(x,y), P2(y).")
     c2 = cl("Q0(u) :- Q1(u).")
     assert resolve(c1, c2, 0) is None
     assert calls == []
     assert resolve(c1, c2, 1) is not None
     assert len(calls) == 1
+
+
+def test_pre_renamed_resolution_equals_resolve():
+    # Canonical premises use no name rename_apart draws, so renaming the
+    # second premise once, apart from nothing, gives resolve's own step.
+    c22 = enumerate_fragment(horn_c(2, 2))
+    c23 = enumerate_fragment(horn_2c(2, 3))
+    pairs = list(itertools.product(c22, repeat=2))
+    pairs += list(itertools.product(c23, repeat=2))[::3]
+    renamed = {c: rename_apart(c)[0] for c in c22 + c23}
+    for kind in (KIND_SLD, KIND_RESOLUTION):
+        for c1, c2 in pairs:
+            for i in range(len(c1.body)):
+                assert _resolve_renamed(c1, c2, renamed[c2], i, kind) == \
+                    resolve(c1, c2, i, kind), (c1, c2, i)
 
 
 def test_resolve_chain():
@@ -284,6 +309,18 @@ def test_closure_premise_pool_modes():
     tk = {canonical_key(c) for c in theory_pool.clauses}
     ck = {canonical_key(c) for c in closure_pool.clauses}
     assert tk <= ck
+
+
+def test_closure_renames_each_premise_once(monkeypatch):
+    # one rename per member of the 4-clause horn_c(2,3) core, where
+    # renaming per resolved pair took 74
+    core = Theory(cl(t) for t in (
+        "P0(x1) :- P1(x2,x1).", "P0(x1,x2) :- P1(x2).",
+        "P0(x1,x2) :- P1(x3,x1).", "P0(x1,x2) :- P1(x3,x2), P2(x4,x3)."))
+    calls = count_renames(monkeypatch)
+    result = closure(core, 2, mode="sld", max_body=5)
+    assert len(result.clauses) == 50
+    assert len(calls) <= len(core)
 
 
 def test_closure_validates_arguments():
