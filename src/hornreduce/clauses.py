@@ -85,10 +85,6 @@ class HornClause:
                 raise ArityMismatchError(
                     f"{atom.pred.name} used with arities {known} and {atom.pred.arity}")
 
-    @staticmethod
-    def rule(head: Atom | None, *body: Atom) -> "HornClause":
-        return HornClause(head, tuple(body))
-
     @property
     def body_size(self) -> int:
         return len(self.body)

@@ -26,6 +26,7 @@ from hornreduce.clauses import (
     ArityMismatchError,
     ClauseParseError,
     HornClause,
+    Substitution,
     Theory,
     canonical_key,
     parse_clause,
@@ -45,14 +46,18 @@ from hornreduce.reduction import (
     METHOD_FORWARD,
     METHOD_PARTITION,
     OracleCapError,
-    ReducibilityWitness,
     extension_family,
     is_reducible,
     nonred_extend,
     reduce_fragment,
     reduce_theory,
 )
-from hornreduce.resolution import MODES, proof_to_json_dict, search_derivation
+from hornreduce.resolution import (
+    MODES,
+    Proof,
+    proof_to_json_dict,
+    search_derivation,
+)
 
 SCHEMA_VERSION = 1
 
@@ -175,10 +180,15 @@ def _cmd_reduce(ns) -> tuple[int, str, str]:
     return EXIT_OK, _json_text(payload), summary
 
 
-def _witness_json(w: ReducibilityWitness) -> dict:
-    return {"c1": str(w.c1), "c2": str(w.c2), "pivot": w.pivot.text(),
-            "resolvent": str(w.resolvent), "body_index": w.body_index,
-            "unification": w.unification.to_json_dict()}
+def _witness_json(proof: Proof) -> dict:
+    """The sld payload: the resolution step of ``proof`` and the unifier of
+    its final unification, none when the resolvent is the clause itself."""
+    step, last = proof.steps[0], proof.steps[-1]
+    c1, c2 = step.premises
+    unification = last.unifier if last is not step else Substitution()
+    return {"c1": str(c1), "c2": str(c2), "pivot": step.pivot.text(),
+            "resolvent": str(step.conclusion), "body_index": step.body_index,
+            "unification": unification.to_json_dict()}
 
 
 def _cmd_check(ns) -> tuple[int, str, str]:
@@ -206,7 +216,7 @@ def _cmd_check(ns) -> tuple[int, str, str]:
         payload["result"] = "irreducible"
         return EXIT_OK, _json_text(payload), "irreducible\n"
     payload["result"] = "reducible"
-    if isinstance(result, ReducibilityWitness):
+    if ns.mode == "sld":
         payload["witness"] = _witness_json(result)
     else:
         payload["proof"] = proof_to_json_dict(result)

@@ -211,10 +211,14 @@ class LightPair:
     labels: frozenset[str]
 
 
+_Ranked = tuple[tuple[int, int, tuple[int, int]], LightPair]
+
+
 def _scan_tree(graph: ClauseGraph, tree: tuple[LabeledEdge, ...], max_labels: int,
-               lo: int) -> LightPair | None:
-    """Best qualifying pair for one tree: adjacent pairs first, then the rest."""
-    best: tuple[tuple[int, int, tuple[int, int]], LightPair] | None = None
+               lo: int) -> _Ranked | None:
+    """Best qualifying pair for one tree with its rank: adjacent pairs
+    first, then fewer labels, then the lowest vertex pair."""
+    best: _Ranked | None = None
     for u, v in itertools.combinations(range(lo, graph.vertex_count), 2):
         labels = pair_outgoing_labels(tree, u, v)
         if len(labels) > max_labels:
@@ -222,7 +226,7 @@ def _scan_tree(graph: ClauseGraph, tree: tuple[LabeledEdge, ...], max_labels: in
         rank = (0 if graph.adjacent(u, v) else 1, len(labels), (u, v))
         if best is None or rank < best[0]:
             best = (rank, LightPair(u, v, tree, labels))
-    return best[1] if best is not None else None
+    return best
 
 
 def find_light_pair(graph: ClauseGraph, max_labels: int,
@@ -238,22 +242,18 @@ def find_light_pair(graph: ClauseGraph, max_labels: int,
     lo = graph.body_offset if body_only else 0
     if n - lo < 2:
         return None
-    found: LightPair | None = None
+    found: _Ranked | None = None
     for root in range(n):
         tree = graph.bfs_spanning_tree(root)
         if tree is None:
             return None
         got = _scan_tree(graph, tree, max_labels, lo)
-        if got is not None and (found is None or _rank(graph, got) < _rank(graph, found)):
+        if got is not None and (found is None or got[0] < found[0]):
             found = got
     if found is not None:
-        return found
+        return found[1]
     for tree in graph.all_spanning_trees():
         got = _scan_tree(graph, tree, max_labels, lo)
         if got is not None:
-            return got
+            return got[1]
     return None
-
-
-def _rank(graph: ClauseGraph, lp: LightPair) -> tuple[int, int, tuple[int, int]]:
-    return (0 if graph.adjacent(lp.u, lp.v) else 1, len(lp.labels), (lp.u, lp.v))

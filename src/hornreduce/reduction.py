@@ -46,10 +46,11 @@ from hornreduce.graphs import clause_graph, find_light_pair
 from hornreduce.resolution import (
     KIND_RESOLUTION,
     KIND_SLD,
+    KIND_UNIFICATION,
     MODES,
     InferenceStep,
     Proof,
-    _resolve_renamed,
+    _resolutions,
     factor,
     replay_proof,
     resolve,
@@ -343,66 +344,18 @@ def _cut_hits(c: HornClause, fragment: FragmentSpec, arity_cap: int,
 
 
 # ---------------------------------------------------------------------------
-# Reducibility witnesses and deciders
+# Deciders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ReducibilityWitness:
-    """One SLD inference whose conclusion covers the target clause.
-
-    Resolving ``c1``'s body atom at ``body_index`` (the pivot) against
-    ``c2``'s head yields ``resolvent``, and applying ``unification``
-    instantiates it to the target.  Both premises have strictly smaller
-    bodies than the target.
-    """
-
-    c1: HornClause
-    c2: HornClause
-    pivot: Atom
-    resolvent: HornClause
-    unification: Substitution
-    body_index: int = 0
-
-    def to_proof(self, target: HornClause) -> Proof:
-        """Replayable proof of ``target`` from the two premises."""
-        step = resolve(self.c1, self.c2, self.body_index, kind=KIND_SLD)
-        if step is None:
-            raise ValueError("witness premises do not resolve")
-        return _closed_proof([step], target)
-
-
-def _closed_proof(steps: list[InferenceStep], target: HornClause) -> Proof:
-    """Proof of ``target`` by ``steps``, closed by a final unification unless
-    they conclude ``target`` exactly."""
-    if steps[-1].conclusion != target:
-        final = unify_onto(steps[-1].conclusion, target)
-        if final is None:
-            raise ValueError("the inference does not cover the target")
-        steps = steps + [final]
-    return Proof(steps[0].premises, tuple(steps), target)
-
-
-def _witness(hit: _Hit) -> ReducibilityWitness:
+def _closed_proof(hit: _Hit, target: HornClause) -> Proof:
+    """Proof of ``target`` by the hit's steps, closed by a final unification
+    with the hit's substitution unless they conclude ``target`` exactly."""
     steps, sigma = hit
-    return ReducibilityWitness(*steps[0].premises, steps[0].pivot,
-                               steps[-1].conclusion, sigma,
-                               body_index=steps[0].body_index)
-
-
-def inverse_candidates(c: HornClause, arity_cap: int,
-                       fragment: FragmentSpec) -> Iterator[ReducibilityWitness]:
-    """All verified one-step SLD splits of ``c`` within the fragment.
-
-    Every bipartition of the body is tried: the pivot carries exactly the
-    variables the cut leaves pending (one connecting variable when nothing
-    is pending), capped at ``arity_cap`` arguments.  Premises must fall in
-    ``fragment``'s syntactic class with strictly smaller bodies, and each
-    candidate is verified by forward resolution plus instance match before
-    it is yielded.  Exhaustion of this stream proves irreducibility when
-    every variable of ``c`` occurs exactly three times; otherwise treat a
-    miss as heuristic and consult the forward oracle.
-    """
-    return map(_witness, _cut_hits(c, fragment, arity_cap, KIND_SLD, 0, False))
+    last = steps[-1].conclusion
+    if last != target:
+        steps = steps + [InferenceStep(KIND_UNIFICATION, (last,), target,
+                                       unifier=sigma)]
+    return Proof(steps[0].premises, tuple(steps), target)
 
 
 def _forward_pool(c: HornClause, fragment: FragmentSpec, pool_body_cap: int,
@@ -486,11 +439,8 @@ def _pool_scan(c: HornClause, pool: tuple[HornClause, ...], kind: str,
                     d2r = renamed.get(pos)
                     if d2r is None:
                         d2r = renamed[pos] = rename_apart(d2)[0]
-                    for idx, atom in enumerate(d1.body):
-                        if atom.pred.arity != pivot_arity:
-                            continue
-                        step = _resolve_renamed(d1, d2, d2r, idx, kind)
-                        hit = _factor_chain([step], chain, c) if step else None
+                    for step in _resolutions(d1, d2, d2r, kind):
+                        hit = _factor_chain([step], chain, c)
                         if hit is not None:
                             return hit
     return None
@@ -500,13 +450,15 @@ def is_reducible(c: HornClause, mode: str = "sld",
                  fragment: FragmentSpec | None = None,
                  method: str = METHOD_PARTITION, *, max_factor: int = 2,
                  pool_body_cap: int = 4, max_pool: int = 6000
-                 ) -> ReducibilityWitness | Proof | None:
+                 ) -> Proof | None:
     """Search for a one-inference derivation of ``c`` from strictly smaller
     premises in the fragment's syntactic class.
 
-    Returns a :class:`ReducibilityWitness` in ``sld`` mode, a
-    :class:`Proof` (one resolution plus up to ``max_factor`` factorings)
-    in ``standard`` mode, or None when the search exhausts without a hit.
+    Returns a :class:`Proof` of ``c`` from the two premises — one
+    resolution step, then up to ``max_factor`` factorings in ``standard``
+    mode (none in ``sld``), then a variable unification unless the last
+    step concludes ``c`` exactly — or None when the search exhausts
+    without a hit.
     The pivot arity cap is the fragment's ``max_arity``.  The forward
     oracle enumerates fragment members as premises when their body cap is
     at most ``pool_body_cap``, raising :class:`OracleCapError` beyond
@@ -535,9 +487,7 @@ def is_reducible(c: HornClause, mode: str = "sld",
     else:
         hit = next(_cut_hits(c, fragment, fragment.max_arity, kind,
                              chain_cap, exhaustive=forward), None)
-    if hit is None:
-        return None
-    return _witness(hit) if mode == "sld" else _closed_proof(hit[0], c)
+    return _closed_proof(hit, c) if hit is not None else None
 
 
 # ---------------------------------------------------------------------------

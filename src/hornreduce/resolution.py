@@ -149,13 +149,32 @@ def unify_onto(premise: HornClause, target: HornClause) -> InferenceStep | None:
     )
 
 
+def _resolutions(c1: HornClause, c2: HornClause, c2r: HornClause,
+                 kind: str) -> Iterator[InferenceStep]:
+    """:func:`_resolve_renamed` at every body position of ``c1`` whose arity
+    is ``c2``'s head arity, skipping those that do not unify."""
+    arity = c2.head.pred.arity
+    for i, atom in enumerate(c1.body):
+        if atom.pred.arity == arity:
+            step = _resolve_renamed(c1, c2, c2r, i, kind)
+            if step is not None:
+                yield step
+
+
 def resolvents(c1: HornClause, c2: HornClause,
                kind: str = KIND_RESOLUTION) -> Iterator[InferenceStep]:
-    """All resolutions of ``c1`` against ``c2``'s head, one per body position."""
-    for i in range(len(c1.body)):
-        step = resolve(c1, c2, i, kind=kind)
-        if step is not None:
-            yield step
+    """All resolutions of ``c1`` against ``c2``'s head, one per body position.
+
+    ``c2`` is renamed apart once, as :func:`resolve` renames it for each
+    position, so every step is the one :func:`resolve` returns.
+    """
+    if not c1.body:
+        return
+    if c2.head is None:
+        raise ValueError("second premise must have a head to resolve upon")
+    c2r, _ = rename_apart(c2, avoid_terms=c1.term_vars(),
+                          avoid_preds=(p.name for p in c1.pred_vars()))
+    yield from _resolutions(c1, c2, c2r, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +340,23 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
             c2r = renamed.get(k2)
             if c2r is None:
                 c2r = renamed[k2] = rename_apart(c2)[0]
-            for i, atom in enumerate(c1.body):
-                if atom.pred.arity != c2.head.pred.arity:
-                    continue
-                step = _resolve_renamed(c1, c2, c2r, i, kind)
-                if step is not None:
-                    admit(step.conclusion, _Prov(kind, (k1, k2), body_index=i),
-                          new_keys)
+            for step in _resolutions(c1, c2, c2r, kind):
+                admit(step.conclusion,
+                      _Prov(kind, (k1, k2), body_index=step.body_index),
+                      new_keys)
         if mode == "standard":
-            if depth == 1:
-                seeds = list(level_keys)
-            else:
-                seeds = []
-            queue = seeds + list(new_keys)
-            while queue and target_hit is None:
-                k = queue.pop(0)
+            # the list iterator also visits the keys admit appends
+            seeds = level_keys if depth == 1 else []
+            for k in itertools.chain(seeds, new_keys):
+                if target_hit is not None:
+                    break
                 c = reps[k]
-                before = len(new_keys)
                 for i, j in itertools.combinations(range(len(c.body)), 2):
                     step = factor(c, i, j)
                     if step is not None:
                         admit(step.conclusion,
                               _Prov(KIND_FACTORING, (k,), factor_indices=(i, j)),
                               new_keys)
-                queue.extend(new_keys[before:])
         levels.append(tuple(reps[k] for k in new_keys))
         frontier = new_keys
     if frontier and depth == max_depth and target_hit is None:

@@ -25,15 +25,15 @@ from hornreduce.reduction import (
     METHOD_FORWARD,
     METHOD_PARTITION,
     OracleCapError,
-    ReducibilityWitness,
     ReductionReport,
+    _closed_proof,
+    _cut_hits,
     c_base,
     cbase_resolution_reduction,
     cut_pending,
     extension_family,
     extension_pairs,
     hnr_family,
-    inverse_candidates,
     is_reducible,
     nonred_extend,
     reduce_fragment,
@@ -45,6 +45,7 @@ from hornreduce.resolution import (
     KIND_FACTORING,
     KIND_RESOLUTION,
     KIND_SLD,
+    KIND_UNIFICATION,
     Proof,
     replay_proof,
     resolve,
@@ -254,35 +255,42 @@ def test_hnr_family_rejects_negative_depth():
 
 
 # ---------------------------------------------------------------------------
-# Inverse candidates (partition method, SLD mode)
+# Inverse candidates: the SLD cut hits of the partition method
 # ---------------------------------------------------------------------------
 
+def cut_proofs(c, arity_cap, fragment):
+    """Proofs of every one-step SLD split of ``c`` the partition method
+    verifies, in cut order."""
+    return [_closed_proof(hit, c)
+            for hit in _cut_hits(c, fragment, arity_cap, KIND_SLD, 0, False)]
+
+
 def test_inverse_candidates_empty_for_base_clause_at_cap_two():
-    assert list(inverse_candidates(c_base(), 2, horn_2c(2, 5))) == []
+    assert cut_proofs(c_base(), 2, horn_2c(2, 5)) == []
 
 
 def test_inverse_candidates_empty_for_triadic_at_cap_three():
     t = triadic_counterexample()
-    assert list(inverse_candidates(t, 3, horn_2c(3, 3))) == []
+    assert cut_proofs(t, 3, horn_2c(3, 3)) == []
 
 
 def test_inverse_candidates_triadic_found_at_cap_four():
     t = triadic_counterexample()
-    found = list(inverse_candidates(t, 4, horn_2c(4, 3)))
+    found = cut_proofs(t, 4, horn_2c(4, 3))
     assert found
-    w = found[0]
-    assert w.pivot.pred.arity == 4
-    assert w.c1.body_size == 2 and w.c2.body_size == 2
-    assert replay_proof(w.to_proof(t))
+    proof = found[0]
+    assert proof.steps[0].pivot.pred.arity == 4
+    assert [p.body_size for p in proof.inputs] == [2, 2]
+    assert replay_proof(proof)
 
 
 def test_inverse_candidates_chain_clause_found_at_cap_one():
     c3 = cl("P0(a) :- P1(a), P2(a), P3(a).")
-    found = list(inverse_candidates(c3, 1, horn_c(1, 3)))
+    found = cut_proofs(c3, 1, horn_c(1, 3))
     assert found
-    for w in found:
-        assert w.pivot.pred.arity == 1
-        assert replay_proof(w.to_proof(c3))
+    for proof in found:
+        assert proof.steps[0].pivot.pred.arity == 1
+        assert replay_proof(proof)
 
 
 def test_inverse_candidates_are_sound_over_small_corpus(corpus_c23):
@@ -291,12 +299,13 @@ def test_inverse_candidates_are_sound_over_small_corpus(corpus_c23):
     for c in corpus_c23:
         if c.body_size < 3:
             continue
-        for w in inverse_candidates(c, frag.max_arity, frag):
-            assert w.c1.body_size < c.body_size
-            assert w.c2.body_size < c.body_size
-            assert member(cls, w.c1) and member(cls, w.c2)
-            assert is_instance(c, w.resolvent) is not None
-            assert replay_proof(w.to_proof(c))
+        for proof in cut_proofs(c, frag.max_arity, frag):
+            c1, c2 = proof.inputs
+            assert c1.body_size < c.body_size
+            assert c2.body_size < c.body_size
+            assert member(cls, c1) and member(cls, c2)
+            assert is_instance(c, proof.steps[0].conclusion) is not None
+            assert replay_proof(proof)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +336,10 @@ def test_triadic_sld_irreducible_by_partition():
 def test_chain_clause_reducible_by_both_methods():
     c3 = cl("P0(a) :- P1(a), P2(a), P3(a).")
     frag = horn_c(1, 3)
-    w1 = is_reducible(c3, "sld", frag, METHOD_PARTITION)
-    w2 = is_reducible(c3, "sld", frag, METHOD_FORWARD)
-    assert isinstance(w1, ReducibilityWitness)
-    assert isinstance(w2, ReducibilityWitness)
-    assert replay_proof(w1.to_proof(c3)) and replay_proof(w2.to_proof(c3))
+    p1 = is_reducible(c3, "sld", frag, METHOD_PARTITION)
+    p2 = is_reducible(c3, "sld", frag, METHOD_FORWARD)
+    assert isinstance(p1, Proof) and isinstance(p2, Proof)
+    assert replay_proof(p1) and replay_proof(p2)
     proof = is_reducible(c3, "standard", frag, METHOD_FORWARD)
     assert isinstance(proof, Proof) and replay_proof(proof)
 
@@ -370,7 +378,7 @@ def assert_methods_agree(c, frag, mode, **forward_bounds):
     assert (partition is None) == (forward is None), (mode, c)
     for hit in (partition, forward):
         if hit is not None:
-            assert replay_proof(hit.to_proof(c) if mode == "sld" else hit)
+            assert replay_proof(hit) and hit.conclusion == c
     return partition is not None
 
 
@@ -387,6 +395,52 @@ def test_methods_agree_on_dyadic_two_connected_corpus_standard(corpus_2c24):
     reducible = sum(assert_methods_agree(c, frag, "standard", pool_body_cap=0)
                     for c in targets)
     assert reducible == len(targets) == 792
+
+
+def assert_one_inference(proof, c, mode, max_factor=2):
+    """``proof`` is one inference from its two inputs to ``c``: a resolution
+    step, up to ``max_factor`` factorings (none in sld mode) and at most
+    one closing unification."""
+    kinds = [s.kind for s in proof.steps]
+    first = KIND_SLD if mode == "sld" else KIND_RESOLUTION
+    factorings = kinds.count(KIND_FACTORING)
+    assert kinds[0] == first, kinds
+    assert factorings <= (0 if mode == "sld" else max_factor), kinds
+    assert kinds[1:] in ([KIND_FACTORING] * factorings,
+                         [KIND_FACTORING] * factorings + [KIND_UNIFICATION])
+    assert proof.inputs == proof.steps[0].premises
+    assert proof.conclusion == c
+    assert replay_proof(proof)
+
+
+@pytest.mark.parametrize("mode", ["sld", "standard"])
+def test_is_reducible_proofs_are_one_inference(corpus_c23, mode):
+    frag = horn_c(2, 3)
+    targets = [c for c in corpus_c23 if c.body_size >= 3]
+    hits = 0
+    for c in targets:
+        for method in (METHOD_PARTITION, METHOD_FORWARD):
+            proof = is_reducible(c, mode, frag, method)
+            if proof is not None:
+                assert_one_inference(proof, c, mode)
+                hits += 1
+    assert hits > 0
+
+
+def test_is_reducible_closes_proofs_from_its_own_hit(monkeypatch):
+    # the hit's substitution closes the proof: no second instance match
+    def unify_onto(*args):
+        raise AssertionError("unify_onto called after a hit")
+    monkeypatch.setattr(hornreduce.reduction, "unify_onto", unify_onto)
+    cases = [(c_base(), "standard", horn_2c(2, 5), METHOD_PARTITION),
+             (cl("P0(x1,x2) :- P1(x2,x3), P2(x3,x4), P3(x4)."), "standard",
+              horn_c(2, 4), METHOD_FORWARD),
+             (cl("P0(a) :- P1(a), P2(a), P3(a)."), "sld", horn_c(1, 3),
+              METHOD_PARTITION)]
+    for c, mode, frag, method in cases:
+        proof = is_reducible(c, mode, frag, method)
+        assert proof.steps[-1].kind == KIND_UNIFICATION
+        assert_one_inference(proof, c, mode)
 
 
 def test_forward_oracle_renames_each_pool_member_once(monkeypatch):

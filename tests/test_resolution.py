@@ -180,6 +180,23 @@ def test_resolvents_iterates_positions():
     assert [s.body_index for s in steps] == [0, 1]
 
 
+def test_resolvents_renames_the_second_premise_once(monkeypatch):
+    # renaming per compatible position took three renames here
+    c1 = cl("P(x) :- Q(x,y), S(y), R(y,x), T(x,x).")
+    c2 = cl("Q(x,u) :- R(u,x).")
+    calls = count_renames(monkeypatch)
+    steps = list(resolvents(c1, c2, kind=KIND_SLD))
+    assert len(calls) == 1
+    assert steps == [resolve(c1, c2, i, kind=KIND_SLD) for i in (0, 2, 3)]
+
+
+def test_resolvents_needs_a_headed_second_premise():
+    headless = HornClause(None, (Atom.of("Q", "u"),))
+    with pytest.raises(ValueError):
+        list(resolvents(cl("P(x) :- Q(x)."), headless))
+    assert list(resolvents(cl("P(x)."), headless)) == []
+
+
 # ---------------------------------------------------------------------------
 # Proof replay
 # ---------------------------------------------------------------------------
