@@ -69,7 +69,7 @@ class HornClause:
     """At most one head atom plus a body tuple (a multiset; order is storage).
 
     Semantic identity is alpha-equivalence of the head plus the body multiset;
-    use :func:`canonical_form` / :func:`alpha_equivalent` to compare, not
+    use :func:`canonical_key` / :func:`alpha_equivalent` to compare, not
     ``==`` (which is structural).  Predicate variables sharing a name within
     one clause must agree on arity.
     """
@@ -160,9 +160,6 @@ class Substitution:
 
     def atom(self, a: Atom) -> Atom:
         return Atom(self.pred(a.pred), tuple(self.term_map.get(x, x) for x in a.args))
-
-    def is_identity(self) -> bool:
-        return not self.pred_map and not self.term_map
 
     def is_renaming(self) -> bool:
         """True iff both maps are injective (hence invertible on their domain)."""
@@ -289,14 +286,14 @@ def _assign(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> list:
     return undo
 
 
-def _canonical_serialization(c: HornClause) -> tuple[tuple, tuple[int, ...]]:
-    """The canonical key of ``c`` (head presence plus the minimal
-    serialization over body orderings) and the body order achieving it.
+def _canonical_serialization(c: HornClause) -> tuple:
+    """The canonical key of ``c``: head presence plus the minimal
+    serialization over body orderings.
 
     Ties are branched on, except between interchangeable body atoms: equal
     atoms, and atoms with equal arguments whose predicates occur nowhere
     else in the clause.  Swapping those is an automorphism of the clause,
-    so one branch per orbit finds the same minimum in the same order.
+    so one branch per orbit finds the same minimum.
     """
     body = c.body
     n = len(body)
@@ -304,24 +301,21 @@ def _canonical_serialization(c: HornClause) -> tuple[tuple, tuple[int, ...]]:
     orbit = [a.args if uses[a.pred] == 1 else a for a in body]
     pidx: dict[PredVar, int] = {}
     tidx: dict[str, int] = {}
-    prefix: list[tuple[int, ...]] = []
+    acc: list[tuple[int, ...]] = []
     if c.head is not None:
-        prefix.append(_atom_key(c.head, pidx, tidx))
+        acc.append(_atom_key(c.head, pidx, tidx))
         _assign(c.head, pidx, tidx)
-
-    best: list | None = None  # [keys_tuple, order_tuple]
-
-    acc: list[tuple[int, ...]] = list(prefix)
-    order: list[int] = []
+    full = len(acc) + n
+    best: tuple | None = None  # the least complete serialization found
     used = [False] * n
 
     def rec() -> None:
         nonlocal best
-        depth = len(order)
-        if depth == n:
+        pos = len(acc)
+        if pos == full:
             cand = tuple(acc)
-            if best is None or cand < best[0]:
-                best = [cand, tuple(order)]
+            if best is None or cand < best:
+                best = cand
             return
         candidates: list[tuple[tuple[int, ...], int]] = []
         for i in range(n):
@@ -329,18 +323,14 @@ def _canonical_serialization(c: HornClause) -> tuple[tuple, tuple[int, ...]]:
                 candidates.append((_atom_key(body[i], pidx, tidx), i))
         mkey = min(k for k, _ in candidates)
         # Lexicographic pruning against the best complete serialization found.
-        if best is not None:
-            pos = len(acc)
-            bk = best[0]
-            if acc[:pos] == list(bk[:pos]) and mkey > bk[pos]:
-                return
+        if best is not None and acc == list(best[:pos]) and mkey > best[pos]:
+            return
         taken: set = set()
         for k, i in candidates:
             if k != mkey or orbit[i] in taken:
                 continue
             taken.add(orbit[i])
             used[i] = True
-            order.append(i)
             acc.append(k)
             undo = _assign(body[i], pidx, tidx)
             rec()
@@ -350,15 +340,14 @@ def _canonical_serialization(c: HornClause) -> tuple[tuple, tuple[int, ...]]:
                 else:
                     del tidx[entry]
             acc.pop()
-            order.pop()
             used[i] = False
 
     if n:
         rec()
     else:
-        best = [tuple(acc), ()]
+        best = tuple(acc)
     assert best is not None
-    return (c.head is not None, best[0]), best[1]
+    return c.head is not None, best
 
 
 def _representative(key: tuple) -> HornClause:
@@ -373,31 +362,18 @@ def _representative(key: tuple) -> HornClause:
 def canonical_key(c: HornClause) -> tuple:
     """A hashable, total-order key identifying ``c`` up to alpha-equivalence
     and body reordering (head presence is part of the key)."""
-    return _canonical_serialization(c)[0]
+    return _canonical_serialization(c)
 
 
-def canonical_form(c: HornClause) -> tuple[HornClause, Substitution]:
-    """The canonical representative of ``c`` plus the renaming onto it.
+def canonical(c: HornClause) -> tuple[tuple, HornClause]:
+    """The canonical key of ``c`` and its canonical representative, from one
+    serialization: the representative is spelled from the key.
 
     The representative minimizes the clause serialization over all body
     orderings, numbering predicate variables ``P0, P1, ...`` and term
     variables ``x1, x2, ...`` by first occurrence.  Idempotent; invariant
     under renaming and body reordering; preserves body multiplicity.
     """
-    key, order = _canonical_serialization(c)
-    rep = _representative(key)
-    # The renaming pairs each literal, taken in canonical order, with its
-    # counterpart in the representative.
-    head = () if c.head is None else (c.head,)
-    pairs = list(zip(head + tuple(c.body[i] for i in order), rep.literals()))
-    return rep, Substitution(
-        {a.pred: b.pred for a, b in pairs},
-        {x: y for a, b in pairs for x, y in zip(a.args, b.args)})
-
-
-def canonical(c: HornClause) -> tuple[tuple, HornClause]:
-    """``(canonical_key(c), canonical_form(c)[0])`` from one serialization:
-    the representative is spelled from the key."""
     key = canonical_key(c)
     return key, _representative(key)
 
@@ -423,6 +399,13 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
     pm: dict[PredVar, PredVar] = {}
     tm: dict[str, str] = {}
 
+    def unmatch(undo: list) -> None:
+        for entry in undo:
+            if isinstance(entry, PredVar):
+                del pm[entry]
+            else:
+                del tm[entry]
+
     def match(da: Atom, ca: Atom) -> list | None:
         if da.pred.arity != ca.pred.arity:
             return None
@@ -439,20 +422,9 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
                 tm[x] = y
                 undo.append(x)
             elif t != y:
-                for entry in undo:
-                    if isinstance(entry, PredVar):
-                        del pm[entry]
-                    else:
-                        del tm[entry]
+                unmatch(undo)
                 return None
         return undo
-
-    def unmatch(undo: list) -> None:
-        for entry in undo:
-            if isinstance(entry, PredVar):
-                del pm[entry]
-            else:
-                del tm[entry]
 
     head_undo: list = []
     if c.head is not None:
@@ -652,10 +624,6 @@ class Theory:
         self._by_key: dict[tuple, HornClause] = {}
         for c in clauses:
             self._by_key.setdefault(canonical_key(c), c)
-
-    @property
-    def clauses(self) -> tuple[HornClause, ...]:
-        return tuple(self._by_key.values())
 
     def __iter__(self) -> Iterator[HornClause]:
         return iter(self._by_key.values())

@@ -377,10 +377,11 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
     """All fragment members, one canonical representative each, sorted by
     body size, then body arity profile, head arity, and canonical key."""
     # Raw clauses are filtered before canonicalization: most-generality is
-    # invariant under renaming, so only survivors need a key.
+    # invariant under renaming, so only survivors need a key.  Two-connected
+    # raw clauses have no pending variable by construction: the variable
+    # assignments leave no block within a single literal.
     keys = {canonical_key(c) for c in _raw_clauses(spec)
             if (not spec.connected or is_connected(c))
-            and not (spec.two_connected and pending_variables(c))
             and (not spec.most_general or most_general_in(spec, c))}
     # Most survivors repeat a class, so representatives are spelled only
     # from the distinct keys.

@@ -254,7 +254,6 @@ class ClosureResult:
     """Clauses derivable level by level, with the reason any were left out."""
 
     clauses: tuple[HornClause, ...]
-    levels: tuple[tuple[HornClause, ...], ...]
     truncated: bool
     target_hit: HornClause | None = None
     _reps: dict = field(default_factory=dict, repr=False)
@@ -282,12 +281,13 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         raise ValueError(f"mode must be one of {MODES}")
     if premise_pool not in ("theory", "closure"):
         raise ValueError("premise_pool must be 'theory' or 'closure'")
+    if max_depth < 0:
+        raise ValueError("max_depth must not be negative")
     if not isinstance(theory, Theory):
         theory = Theory(theory)
 
     reps: dict = {}  # canonical key -> representative, in admission order
     prov: dict = {}
-    levels: list[tuple[HornClause, ...]] = []
     truncated = False
     target_hit: HornClause | None = None
 
@@ -310,12 +310,10 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
             if is_instance(_target, rep) is not None:
                 target_hit = rep
 
-    level_keys: list = []
+    theory_keys: list = []
     for c in theory:
-        admit(c, None, level_keys)
-    levels.append(tuple(reps[k] for k in level_keys))
-    frontier = list(level_keys)
-    theory_keys = list(level_keys)
+        admit(c, None, theory_keys)
+    frontier = theory_keys
 
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
     renamed: dict = {}  # premise key -> its representative renamed apart
@@ -346,7 +344,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
                       new_keys)
         if mode == "standard":
             # the list iterator also visits the keys admit appends
-            seeds = level_keys if depth == 1 else []
+            seeds = theory_keys if depth == 1 else []
             for k in itertools.chain(seeds, new_keys):
                 if target_hit is not None:
                     break
@@ -357,7 +355,6 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
                         admit(step.conclusion,
                               _Prov(KIND_FACTORING, (k,), factor_indices=(i, j)),
                               new_keys)
-        levels.append(tuple(reps[k] for k in new_keys))
         frontier = new_keys
     if frontier and depth == max_depth and target_hit is None:
         # the depth cap stopped a still-growing closure: not a fixpoint
@@ -365,7 +362,6 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
 
     return ClosureResult(
         clauses=tuple(reps.values()),
-        levels=tuple(levels),
         truncated=truncated,
         target_hit=target_hit,
         _reps=reps,
@@ -591,12 +587,6 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
             _proof_from_closure(result, result.target_hit, target), truncated=False)
     # a fixpoint without drops is a definitive no; anything else is a cut
     return SearchResult(None, truncated=result.truncated)
-
-
-def derives(theory: Theory | Iterable[HornClause], target: HornClause,
-            max_depth: int = 1, **kwargs) -> bool:
-    """True iff :func:`search_derivation` finds a proof within the bounds."""
-    return search_derivation(theory, target, max_depth, **kwargs).found
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hornreduce.clauses import (
     alpha_equivalent,
     apply_substitution,
     canonical,
-    canonical_form,
     canonical_key,
     compose,
     is_instance,
@@ -164,21 +163,18 @@ def test_canonical_matches_exhaustive_oracle():
 
 def test_canonical_of_base_clause_is_itself():
     c = c_base()
-    canon, sub = canonical_form(c)
-    assert canon == c
-    assert sub.is_identity()
-    assert canonical_key(c) == oracle_canonical_key(c)
+    assert canonical(c) == (oracle_canonical_key(c), c)
 
 
 def test_canonical_idempotent_and_invariant():
     rng = random.Random(19)
     for _ in range(300):
         c = random_clause(rng)
-        canon, sub = canonical_form(c)
-        assert apply_substitution(
-            HornClause(c.head, tuple(c.body[i] for i in _order_of(c, canon))), sub) == canon
-        again, sub2 = canonical_form(canon)
-        assert again == canon and sub2.is_identity()
+        key, canon = canonical(c)
+        # the representative is a variant of c: each is a renaming of the other
+        assert is_instance(canon, c).is_renaming()
+        assert is_instance(c, canon).is_renaming()
+        assert canonical(canon) == (key, canon)
         # invariance under shuffling + renaming
         body = list(c.body)
         rng.shuffle(body)
@@ -187,28 +183,13 @@ def test_canonical_idempotent_and_invariant():
             {v: f"t{i}" for i, v in enumerate(c.term_vars())},
         )
         d = apply_substitution(HornClause(c.head, tuple(body)), ren)
-        assert canonical_form(d)[0] == canon
+        assert canonical(d) == (key, canon)
         assert alpha_equivalent(c, d)
-
-
-def _order_of(c, canon):
-    # recover a body order consistent with the canonical sub (multiset-safe)
-    _, sub = canonical_form(c)
-    want = list(canon.body)
-    order = []
-    used = set()
-    for target in want:
-        for i, atom in enumerate(c.body):
-            if i not in used and sub.atom(atom) == target:
-                used.add(i)
-                order.append(i)
-                break
-    return order
 
 
 def test_canonical_numbering_convention():
     c = cl("Head(b,a) :- Right(a), Left(b).")
-    canon, _ = canonical_form(c)
+    _, canon = canonical(c)
     assert canon.head == Atom.of("P0", "x1", "x2")
     assert {p.name for p in canon.pred_vars()} == {"P0", "P1", "P2"}
     assert set(canon.term_vars()) == {"x1", "x2"}
@@ -216,7 +197,7 @@ def test_canonical_numbering_convention():
 
 def test_headless_clause_canonicalizes():
     c = HornClause(None, (Atom.of("B", "y"), Atom.of("A", "y", "z")))
-    canon, _ = canonical_form(c)
+    _, canon = canonical(c)
     assert canon.head is None
     assert len(canon.body) == 2
     # headless and headed clauses never compare equal
@@ -279,19 +260,21 @@ def test_symmetric_body_canonicalizes_without_branching(monkeypatch):
     key = canonical_key(c)
     assert len(calls) == 79
     assert key == (True, ((0, 1, 2),) + tuple((i, 1, 2) for i in range(1, 13)))
-    assert str(canonical_form(c)[0]) == str(c).replace("x,y", "x1,x2")
+    assert str(canonical(c)[1]) == str(c).replace("x,y", "x1,x2")
 
 
 def test_canonical_is_key_and_representative_at_once():
     rng = random.Random(29)
     for _ in range(100):
         c = random_clause(rng)
-        assert canonical(c) == (canonical_key(c), canonical_form(c)[0])
+        key, canon = canonical(c)
+        assert key == canonical_key(c) == canonical_key(canon)
+        assert alpha_equivalent(c, canon)
 
 
 def test_duplicate_body_atoms_preserved():
     c = cl("P(x) :- Q(x), Q(x), R(x).")
-    canon, _ = canonical_form(c)
+    _, canon = canonical(c)
     assert canon.body_size == 3
     assert len(set(canon.body)) == 2
 
@@ -465,7 +448,7 @@ def test_theory_find_returns_stored_variant():
     t = Theory([cl("P(x) :- Q(x)."), stored])
     assert t.find(cl("A(k) :- C(k), B(k).")) is stored
     assert t.find(cl("A(k) :- B(k), B(k), B(k).")) is None
-    assert t.clauses == (cl("P(x) :- Q(x)."), stored)
+    assert list(t) == [cl("P(x) :- Q(x)."), stored]
 
 
 @pytest.mark.parametrize("size", [3, 60])
@@ -477,9 +460,10 @@ def test_theory_queries_canonicalize_only_their_argument(monkeypatch, size):
                         lambda c: calls.append(c) or serialize(c))
     probe = symmetric_body(2)
     rest = t.without(probe)
-    assert (len(calls), len(rest), list(rest)[:1]) == (1, size - 1, [t.clauses[0]])
+    members = list(t)
+    assert (len(calls), len(rest), list(rest)[:1]) == (1, size - 1, members[:1])
     assert probe in t and len(calls) == 2
-    assert t.find(probe) is t.clauses[1] and len(calls) == 3
+    assert t.find(probe) is members[1] and len(calls) == 3
 
 
 def test_theory_accepts_clause_local_names():

@@ -14,7 +14,7 @@ from hornreduce.clauses import (
     HornClause,
     Theory,
     alpha_equivalent,
-    canonical_form,
+    canonical,
     canonical_key,
     is_instance,
     pending_variables,
@@ -223,7 +223,7 @@ def test_hnr_family_depth_one_members():
 
 def test_extension_family_of_worked_example():
     c = cl("H0(x1) :- P1(x1,x2), P2(x1,x3).")
-    assert extension_family(c, 0) == (canonical_form(c)[0],)
+    assert extension_family(c, 0) == (canonical(c)[1],)
     fam = extension_family(c, 1)
     want = {canonical_key(nonred_extend(c, i, j))
             for i, j in extension_pairs(c)}

@@ -28,7 +28,6 @@ from hornreduce.resolution import (
     InferenceStep,
     Proof,
     closure,
-    derives,
     factor,
     proof_from_json_dict,
     proof_to_json_dict,
@@ -345,6 +344,10 @@ def test_closure_validates_arguments():
         closure(chain_theory(), 1, mode="hyper")
     with pytest.raises(ValueError):
         closure(chain_theory(), 1, premise_pool="magic")
+    # a negative depth explores nothing, so it cannot report a fixpoint
+    t = Theory([cl("P(x,y) :- Q(x,y)."), cl("P(x) :- Q(x), R(x).")])
+    with pytest.raises(ValueError):
+        closure(t, -1, max_body=3)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +476,6 @@ def test_shape_restricted_candidates_filter_the_full_stream(corpus_c23, data):
 
     assert text(single_step_candidates(target, max_arity, index)) == text(
         p for p in full if _shape(p[0]) in index and _shape(p[1]) in index)
-
-
-def test_derives_wrapper():
-    assert derives(chain_theory(), chain3())
-    assert not derives(Theory([cl("P0(x) :- P1(x).")]), chain3())
 
 
 # ---------------------------------------------------------------------------
