@@ -10,7 +10,8 @@ Machine-readable results go to stdout and are byte-deterministic for a
 given argv and input files; human summaries and timing go to stderr.  Exit
 codes: 0 success (for ``check``: irreducible; for ``derive``: found),
 1 the complementary answer (reducible / not derivable), 2 inconclusive
-within resource bounds, 64 usage errors, 65 clause or theory parse errors.
+within resource bounds (also for clauses too long to process), 64 usage
+errors, 65 clause or theory parse errors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from hornreduce.clauses import (
     HornClause,
     Substitution,
     Theory,
-    canonical_key,
     parse_clause,
     parse_theory,
     pending_variables,
@@ -86,7 +86,8 @@ def _json_text(payload: dict) -> str:
 
 def _read_theory_file(path: str) -> Theory:
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise _UsageError(f"cannot read theory file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -163,8 +164,7 @@ def _cmd_reduce(ns) -> tuple[int, str, str]:
             _fragment_from_token(ns.fragment), ns.mode,
             max_depth=ns.max_depth, max_body=ns.max_body,
             max_clauses=ns.max_clauses)
-    core = sorted(report.core,
-                  key=lambda d: (d.body_size, canonical_key(d)))
+    core = report.core.ordered(lambda key, d: (d.body_size, key))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "reduce",
@@ -394,6 +394,8 @@ def run(argv: list[str]) -> tuple[int, str, str]:
         return EXIT_USAGE, "", f"error: {exc}\n"
     except (ClauseParseError, ArityMismatchError) as exc:
         return EXIT_PARSE, "", f"parse error: {exc}\n"
+    except RecursionError:
+        return EXIT_INCONCLUSIVE, "", "error: clause too long to process\n"
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return code, out, err + f"completed in {elapsed_ms:.1f} ms\n"
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterator
 
-from hornreduce.clauses import Atom, HornClause
+from hornreduce.clauses import HornClause
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,63 +91,31 @@ class ClauseGraph:
     def all_spanning_trees(self) -> Iterator[tuple[LabeledEdge, ...]]:
         """Yield every spanning tree of the multigraph exactly once.
 
-        Deletion/contraction recursion over the edge list with a
-        connectivity feasibility check, so dead branches are pruned and the
-        enumeration is lazy — callers may stop at the first suitable tree.
+        Deletion/contraction recursion over the edge list, each edge a
+        literal mask: an edge is taken unless the taken edges already join
+        its ends, and a branch is pruned as soon as the taken and undecided
+        edges no longer span the graph.  The enumeration is lazy, so callers
+        may stop at the first suitable tree.
         """
         n = len(self.atoms)
         if n == 0:
             return
-        if n == 1:
-            yield ()
-            return
         edges = self.edges
-
-        def feasible(start: int, chosen_pairs: list[tuple[int, int]]) -> bool:
-            # chosen edges plus all not-yet-decided edges must span the graph
-            adj: dict[int, list[int]] = {i: [] for i in range(n)}
-            for u, v in chosen_pairs:
-                adj[u].append(v)
-                adj[v].append(u)
-            for e in edges[start:]:
-                adj[e.u].append(e.v)
-                adj[e.v].append(e.u)
-            seen = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return len(seen) == n
-
-        chosen: list[LabeledEdge] = []
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        masks = [1 << e.u | 1 << e.v for e in edges]
+        chosen: list[int] = []  # indices of the taken edges
 
         def rec(i: int) -> Iterator[tuple[LabeledEdge, ...]]:
             if len(chosen) == n - 1:
-                yield tuple(chosen)
+                yield tuple(edges[k] for k in chosen)
                 return
-            if i == len(edges):
-                return
-            if not feasible(i, [(e.u, e.v) for e in chosen]):
-                return
+            taken = [masks[k] for k in chosen]
+            if not _spans(taken + masks[i:], n):
+                return  # also when the edges have run out
             e = edges[i]
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                saved = list(parent)
-                parent[ru] = rv
-                chosen.append(e)
+            if not _reach(taken, 1 << e.u) >> e.v & 1:
+                chosen.append(i)
                 yield from rec(i + 1)
                 chosen.pop()
-                parent[:] = saved
             yield from rec(i + 1)
 
         yield from rec(0)
@@ -157,42 +125,42 @@ def clause_graph(c: HornClause) -> ClauseGraph:
     return ClauseGraph(c)
 
 
-def _literal_masks(literals: tuple[Atom, ...]) -> dict[str, int]:
-    """Each term variable's literal mask: bit ``k`` is set when literal ``k``
-    holds the variable, however often."""
+def _literal_masks(c: HornClause) -> dict[str, int]:
+    """Each term variable's literal mask in first-occurrence order: bit ``k``
+    is set when literal ``k`` (head first) holds the variable, however
+    often."""
     masks: dict[str, int] = {}
-    for k, atom in enumerate(literals):
+    for k, atom in enumerate(c.literals()):
         bit = 1 << k
         for v in atom.args:
             masks[v] = masks.get(v, 0) | bit
     return masks
 
 
-def _spans(masks: Iterable[int], n: int) -> bool:
-    """True iff ``n`` literals are connected when each mask joins the
-    literals it holds: the union of the masks, grown from literal 0,
-    reaches every literal."""
-    full = (1 << n) - 1
-    reach = 1 & full
-    left = list(masks)
-    grown = True
-    while grown and reach != full:
-        grown = False
-        rest = []
-        for m in left:
+def _reach(masks: Collection[int], start: int) -> int:
+    """The literals joined to those of ``start`` when each mask joins the
+    literals it holds, as a mask."""
+    reach = start
+    while True:
+        before = reach
+        for m in masks:
             if m & reach:
                 reach |= m
-                grown = True
-            else:
-                rest.append(m)
-        left = rest
-    return reach == full
+        if reach == before:
+            return reach
+
+
+def _spans(masks: Collection[int], n: int) -> bool:
+    """True iff ``n`` literals are connected when each mask joins the
+    literals it holds: grown from literal 0, they reach every literal."""
+    full = (1 << n) - 1
+    return _reach(masks, 1) & full == full
 
 
 def is_connected(c: HornClause) -> bool:
     """True iff the clause graph is connected (single literals trivially are)."""
-    literals = c.literals()
-    return _spans(_literal_masks(literals).values(), len(literals))
+    return _spans(_literal_masks(c).values(),
+                  c.body_size + (c.head is not None))
 
 
 def pair_outgoing_labels(tree: tuple[LabeledEdge, ...], u: int, v: int) -> frozenset[str]:
@@ -229,9 +197,9 @@ def _scan_tree(graph: ClauseGraph, tree: tuple[LabeledEdge, ...], max_labels: in
     return best
 
 
-def find_light_pair(graph: ClauseGraph, max_labels: int,
-                    body_only: bool = True) -> LightPair | None:
-    """Search for a light pair across spanning trees of a connected graph.
+def find_light_pair(graph: ClauseGraph, max_labels: int) -> LightPair | None:
+    """Search for a light pair of body vertices across spanning trees of a
+    connected graph.
 
     Breadth-first trees from every root are scanned first; when none of them
     yields a qualifying pair the spanning trees are enumerated exhaustively.
@@ -239,7 +207,7 @@ def find_light_pair(graph: ClauseGraph, max_labels: int,
     Returns None when the graph is disconnected or no tree has a light pair.
     """
     n = graph.vertex_count
-    lo = graph.body_offset if body_only else 0
+    lo = graph.body_offset
     if n - lo < 2:
         return None
     found: _Ranked | None = None

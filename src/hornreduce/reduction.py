@@ -42,7 +42,7 @@ from hornreduce.clauses import (
     rename_apart,
 )
 from hornreduce.fragments import FragmentSpec, enumerate_fragment, member
-from hornreduce.graphs import clause_graph, find_light_pair
+from hornreduce.graphs import _literal_masks, clause_graph, find_light_pair
 from hornreduce.resolution import (
     KIND_RESOLUTION,
     KIND_SLD,
@@ -187,9 +187,8 @@ _Masks = tuple[tuple[str, int, int], ...]
 def _var_masks(c: HornClause) -> _Masks:
     """The masks of ``c``'s term variables in first-occurrence order: bit
     ``k`` is set when body atom ``k`` holds the variable, however often."""
-    head = c.head.args if c.head is not None else ()
-    return tuple((v, sum(1 << k for k, a in enumerate(c.body) if v in a.args),
-                  int(v in head)) for v in c.term_vars())
+    h = int(c.head is not None)
+    return tuple((v, m >> h, m & h) for v, m in _literal_masks(c).items())
 
 
 def _pending(masks: _Masks, am: int, bm: int, cap: int) -> list[str] | None:
@@ -221,42 +220,40 @@ def cut_pending(c: HornClause, body_indices: Iterable[int]) -> tuple[str, ...]:
     if any(not 0 <= k < c.body_size for k in idx):
         raise IndexError("cut index out of range")
     bm = sum(1 << k for k in idx)
-    return tuple(_pending(_var_masks(c), ((1 << c.body_size) - 1) ^ bm, bm,
-                          len(c.term_vars())))
+    masks = _var_masks(c)
+    return tuple(_pending(masks, ((1 << c.body_size) - 1) ^ bm, bm, len(masks)))
 
 
-def _pivot_arg_sets(c: HornClause, masks: _Masks, am: int, bm: int,
-                    fragment: FragmentSpec, arity_cap: int,
-                    exhaustive: bool) -> list[tuple[str, ...]]:
-    """Pivot argument tuples to try for the cut of ``c`` into the body masks
-    ``am`` (side 1, with the head) and ``bm`` (side 2).
+def _pivot_arg_sets(masks: _Masks, am: int, bm: int, fragment: FragmentSpec,
+                    arity_cap: int, exhaustive: bool) -> list[tuple[str, ...]]:
+    """Pivot argument tuples to try for the cut into the body masks ``am``
+    (side 1, with the head) and ``bm`` (side 2).
 
     The default policy uses exactly the pending variables of the cut, none
-    when there are more than ``arity_cap``, with a single-connector fallback
-    when nothing is pending: the first crossing variable for connected
-    premises (each then sits in two literals per side, as 2-connected
-    premises need), else the first variable side 2 holds.  The exhaustive
-    policy tries every subset of the crossing variables up to the arity
-    cap.  Arguments a pivot could carry beyond the crossing variables never
-    change the resolvent, so both policies omit them.
+    when there are more than ``arity_cap``.  The exhaustive policy tries
+    every subset of the crossing variables up to the arity cap.  Arguments
+    a pivot could carry beyond the crossing variables never change the
+    resolvent, so both policies omit them.  When neither finds a set, both
+    fall back to a single connector: the first crossing variable for
+    connected premises (each then sits in two literals per side, as
+    2-connected premises need), else the first variable side 2 holds.
     """
-    connected = fragment.connected or fragment.two_connected
+    if arity_cap < 1:
+        return []
     if not exhaustive:
         required = _pending(masks, am, bm, arity_cap)
-        if required is None or arity_cap < 1:
+        if required is None:
             return []
         if required:
             return [tuple(required)]
-        return [(v,) for v, m, h in masks
-                if m & bm and (m & am or h or not connected)][:1]
-    crossing = [v for v, m, h in masks if m & bm and (m & am or h)]
-    sets: list[tuple[str, ...]] = []
-    for size in range(1, min(arity_cap, len(crossing)) + 1):
-        sets.extend(itertools.combinations(crossing, size))
-    if not crossing and not connected and arity_cap >= 1:
-        sets += [(v,) for k, a in enumerate(c.body) if bm >> k & 1
-                 for v in a.args][:1]
-    return sets
+    else:
+        crossing = [v for v, m, h in masks if m & bm and (m & am or h)]
+        if crossing:
+            return [s for size in range(1, min(arity_cap, len(crossing)) + 1)
+                    for s in itertools.combinations(crossing, size)]
+    connected = fragment.connected or fragment.two_connected
+    return [(v,) for v, m, h in masks
+            if m & bm and (m & am or h or not connected)][:1]
 
 
 def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
@@ -296,7 +293,7 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
                 for b_only in itertools.combinations(rest, b_only_size):
                     bm = om + sum(b_only)
                     am = (full ^ bm) | om
-                    arg_sets = _pivot_arg_sets(c, masks, am, bm, fragment,
+                    arg_sets = _pivot_arg_sets(masks, am, bm, fragment,
                                                arity_cap, exhaustive)
                     if not arg_sets:
                         continue
@@ -516,7 +513,7 @@ def spanning_tree_split(c: HornClause
     graph = clause_graph(c)
     if not graph.is_connected():
         raise ValueError("the clause must be connected")
-    lp = find_light_pair(graph, c.max_arity(), body_only=True)
+    lp = find_light_pair(graph, c.max_arity())
     if lp is None:
         raise RuntimeError("no spanning tree admits a light enough pair")
     off = graph.body_offset

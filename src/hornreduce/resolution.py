@@ -264,23 +264,20 @@ class ClosureResult:
 
 
 def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
-            mode: str = "sld", premise_pool: str = "theory",
-            max_body: int | None = None, max_clauses: int | None = None,
+            mode: str = "sld", max_body: int | None = None,
+            max_clauses: int | None = None,
             _target: HornClause | None = None) -> ClosureResult:
     """Clauses derivable from ``theory`` in at most ``max_depth`` levels.
 
     Level 0 is the theory itself (canonical forms).  Each later level
-    resolves clauses from the previous level against the premise pool —
-    the theory by default, everything derived so far with
-    ``premise_pool="closure"`` — and in ``standard`` mode also closes new
-    clauses under factoring.  ``max_body`` discards conclusions with larger
-    bodies and ``max_clauses`` stops growth; either sets ``truncated``, as
-    does reaching ``max_depth`` with the frontier still producing clauses.
+    resolves clauses from the previous level against the theory's members,
+    and in ``standard`` mode also closes new clauses under factoring.
+    ``max_body`` discards conclusions with larger bodies and ``max_clauses``
+    stops growth; either sets ``truncated``, as does reaching ``max_depth``
+    with the frontier still producing clauses.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if premise_pool not in ("theory", "closure"):
-        raise ValueError("premise_pool must be 'theory' or 'closure'")
     if max_depth < 0:
         raise ValueError("max_depth must not be negative")
     if not isinstance(theory, Theory):
@@ -321,15 +318,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     while frontier and depth < max_depth and target_hit is None:
         depth += 1
         new_keys: list = []
-        if premise_pool == "closure":
-            snapshot = list(reps)
-            in_frontier = set(frontier)
-            pairs = [(k1, k2) for k1 in frontier for k2 in snapshot]
-            pairs += [(k1, k2) for k1 in snapshot if k1 not in in_frontier
-                      for k2 in frontier]
-        else:
-            pairs = [(k1, k2) for k1 in frontier for k2 in theory_keys]
-        for k1, k2 in pairs:
+        for k1, k2 in itertools.product(frontier, theory_keys):
             if target_hit is not None:
                 break
             c1, c2 = reps[k1], reps[k2]
@@ -549,7 +538,6 @@ def _inverse_single_step(theory: Theory, target: HornClause,
 
 def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
                       max_depth: int = 1, *, mode: str = "sld",
-                      premise_pool: str = "theory",
                       max_body: int | None = None,
                       max_clauses: int | None = None) -> SearchResult:
     """Search for a derivation of ``target`` from ``theory``.
@@ -580,8 +568,8 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
         # depths beyond the cap were never explored
         return SearchResult(None, truncated=True)
 
-    result = closure(theory, max_depth, mode=mode, premise_pool=premise_pool,
-                     max_body=max_body, max_clauses=max_clauses, _target=target)
+    result = closure(theory, max_depth, mode=mode, max_body=max_body,
+                     max_clauses=max_clauses, _target=target)
     if result.target_hit is not None:
         return SearchResult(
             _proof_from_closure(result, result.target_hit, target), truncated=False)

@@ -349,6 +349,20 @@ def test_extend_validates_flags():
     assert code == 64
 
 
+def test_over_long_clause_is_inconclusive():
+    # a 1,000-atom chain overflows the recursion limit; the verdict is
+    # "inconclusive within resource bounds", not a traceback
+    n = 1000
+    clause = f"P(x1,x{n}) :- " + ", ".join(
+        f"R{i}(x{i},x{i + 1})" for i in range(1, n)) + "."
+    for argv in (["check", "--clause", clause],
+                 ["extend", "--clause", clause, "--depth", "0"]):
+        code, out, err = run(argv)
+        assert code == 2, argv[0]
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Frozen check/extend output
 # ---------------------------------------------------------------------------

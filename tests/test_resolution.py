@@ -317,16 +317,6 @@ def test_closure_standard_mode_factors():
     assert factored not in closure(Theory([d]), 1, mode="sld")
 
 
-def test_closure_premise_pool_modes():
-    # closure-pool allows derived x derived pairs that theory-pool never forms
-    t = Theory([cl("P0(x) :- P1(x), P2(x).")])
-    theory_pool = closure(t, 2, max_body=4)
-    closure_pool = closure(t, 2, max_body=4, premise_pool="closure")
-    tk = {canonical_key(c) for c in theory_pool.clauses}
-    ck = {canonical_key(c) for c in closure_pool.clauses}
-    assert tk <= ck
-
-
 def test_closure_renames_each_premise_once(monkeypatch):
     # one rename per member of the 4-clause horn_c(2,3) core, where
     # renaming per resolved pair took 74
@@ -342,8 +332,6 @@ def test_closure_renames_each_premise_once(monkeypatch):
 def test_closure_validates_arguments():
     with pytest.raises(ValueError):
         closure(chain_theory(), 1, mode="hyper")
-    with pytest.raises(ValueError):
-        closure(chain_theory(), 1, premise_pool="magic")
     # a negative depth explores nothing, so it cannot report a fixpoint
     t = Theory([cl("P(x,y) :- Q(x,y)."), cl("P(x) :- Q(x), R(x).")])
     with pytest.raises(ValueError):
