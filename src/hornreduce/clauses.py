@@ -161,11 +161,6 @@ class Substitution:
     def atom(self, a: Atom) -> Atom:
         return Atom(self.pred(a.pred), tuple(self.term_map.get(x, x) for x in a.args))
 
-    def is_renaming(self) -> bool:
-        """True iff both maps are injective (hence invertible on their domain)."""
-        return (len(set(self.pred_map.values())) == len(self.pred_map)
-                and len(set(self.term_map.values())) == len(self.term_map))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Substitution):
             return NotImplemented

@@ -33,7 +33,6 @@ from hornreduce.clauses import (
     PredVar,
     _representative,
     canonical_key,
-    fresh_names,
     pending_variables,
 )
 from hornreduce.graphs import _spans, is_connected
@@ -105,61 +104,13 @@ def _structural_ok(spec: FragmentSpec, c: HornClause) -> bool:
     return True
 
 
-def single_splits(c: HornClause) -> Iterator[HornClause]:
-    """All proper generalizations of ``c`` obtained by one variable or
-    predicate split: a strict subset of the occurrences (never the first)
-    is renamed fresh.  Every proper generalization of ``c`` within a
-    fragment is reachable from one of these, since merging the split back
-    never breaks a structural constraint."""
-    literals = c.literals()
-    has_head = c.head is not None
-
-    def rebuild(atoms: list[Atom]) -> HornClause:
-        if has_head:
-            return HornClause(atoms[0], tuple(atoms[1:]))
-        return HornClause(None, tuple(atoms))
-
-    term_occ: dict[str, list[tuple[int, int]]] = {}
-    for li, atom in enumerate(literals):
-        for ai, v in enumerate(atom.args):
-            term_occ.setdefault(v, []).append((li, ai))
-    fresh_term = next(fresh_names("y", set(c.term_vars())))
-    for v, occ in term_occ.items():
-        if len(occ) < 2:
-            continue
-        rest = occ[1:]
-        for r in range(1, len(rest) + 1):
-            for subset in itertools.combinations(rest, r):
-                chosen = set(subset)
-                atoms = []
-                for li, atom in enumerate(literals):
-                    args = tuple(
-                        fresh_term if (li, ai) in chosen else arg
-                        for ai, arg in enumerate(atom.args))
-                    atoms.append(Atom(atom.pred, args))
-                yield rebuild(atoms)
-
-    pred_occ: dict[PredVar, list[int]] = {}
-    for li, atom in enumerate(literals):
-        pred_occ.setdefault(atom.pred, []).append(li)
-    fresh_pred = next(fresh_names("R", {p.name for p in c.pred_vars()}))
-    for p, occ in pred_occ.items():
-        if len(occ) < 2:
-            continue
-        rest = occ[1:]
-        for r in range(1, len(rest) + 1):
-            for subset in itertools.combinations(rest, r):
-                chosen = set(subset)
-                atoms = [
-                    Atom(PredVar(fresh_pred, p.arity), atom.args)
-                    if li in chosen else atom
-                    for li, atom in enumerate(literals)]
-                yield rebuild(atoms)
-
-
 def most_general_in(spec: FragmentSpec, c: HornClause) -> bool:
-    """True iff no single split of ``c`` (:func:`single_splits`) is a valid
-    generalizer for ``spec``, decided on literal masks without building one.
+    """True iff no single split of ``c`` is a valid generalizer for
+    ``spec``, decided on literal masks without building one.  A single
+    split renames a strict subset of one variable's or one predicate's
+    occurrences (never the first) fresh; every proper generalization of
+    ``c`` within a fragment is reachable from one, since merging the split
+    back never breaks a structural constraint.
 
     A split keeps the head, the arities and the body size, so it passes
     :func:`_size_ok` exactly when ``c`` does; it never joins literals that

@@ -50,6 +50,7 @@ from hornreduce.resolution import (
     MODES,
     InferenceStep,
     Proof,
+    _arity_surplus,
     _resolutions,
     factor,
     replay_proof,
@@ -386,19 +387,6 @@ def _factor_chain(steps: list[InferenceStep], left: int,
             if hit is not None:
                 return hit
     return None
-
-
-def _arity_surplus(target: Counter, d1_body: tuple[int, ...],
-                   pivot_arity: int, d2_body: tuple[int, ...]) -> int:
-    """Literals a resolvent of bodies ``d1_body`` (on a pivot of
-    ``pivot_arity``) and ``d2_body`` has beyond the ``target`` arity
-    multiset, or -1 when it cannot cover the target."""
-    merged = Counter(d1_body)
-    if merged[pivot_arity] < 1:
-        return -1
-    merged[pivot_arity] -= 1
-    merged.update(d2_body)
-    return -1 if target - merged else sum((merged - target).values())
 
 
 def _pool_scan(c: HornClause, pool: tuple[HornClause, ...], kind: str,

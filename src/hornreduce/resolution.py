@@ -15,6 +15,7 @@ independently recomputes each step, so a proof cannot silently go stale.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator
 
@@ -161,6 +162,25 @@ def _resolutions(c1: HornClause, c2: HornClause, c2r: HornClause,
                 yield step
 
 
+def _arity_surplus(target: Counter, d1_body: tuple[int, ...],
+                   pivot_arity: int, d2_body: tuple[int, ...]) -> int:
+    """Literals a resolvent of bodies ``d1_body`` (on a pivot of
+    ``pivot_arity``) and ``d2_body`` has beyond the ``target`` arity
+    multiset, or -1 when no factoring of it has the target's arities.
+
+    Factoring merges two literals of one arity, so it only shrinks the
+    multiset and never empties an arity: a resolvent that lacks a target
+    literal, or has an arity the target has not, never fits."""
+    merged = Counter(d1_body)
+    if merged[pivot_arity] < 1:
+        return -1
+    merged[pivot_arity] -= 1
+    merged.update(d2_body)
+    if target - merged or (+merged).keys() != target.keys():
+        return -1
+    return sum((merged - target).values())
+
+
 def resolvents(c1: HornClause, c2: HornClause,
                kind: str = KIND_RESOLUTION) -> Iterator[InferenceStep]:
     """All resolutions of ``c1`` against ``c2``'s head, one per body position.
@@ -275,6 +295,21 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     ``max_body`` discards conclusions with larger bodies and ``max_clauses``
     stops growth; either sets ``truncated``, as does reaching ``max_depth``
     with the frontier still producing clauses.
+
+    Given ``_target`` and no ``max_clauses``, the last level resolves only
+    pairs that can still yield the target (set of support: Wos, Robinson &
+    Carson 1965) once its ``truncated`` is settled, i.e. once it has
+    admitted a clause or dropped one over ``max_body``.  A pair fits when
+    the first premise has the target's head arity and the resolvent's body
+    arities fit the target's (:func:`_arity_surplus`: equal in sld, and in
+    standard mode a superset with no other arity, since factoring merges
+    two literals of one arity).  A hit has the target's head and body
+    arities, a clause that does not fit has no factor that does, and a key
+    fixes those arities, so every fitting key is admitted in the same
+    order, by the same premises, as in the full level: the first hit, its
+    proof and, on a miss, ``truncated`` are unchanged; only clauses that
+    could never hit are missing.  Under ``max_clauses`` the full level
+    runs, since skipping would move the point where the cap bites.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -314,23 +349,49 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
 
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
     renamed: dict = {}  # premise key -> its representative renamed apart
+    shapes = [_shape(reps[k]) for k in theory_keys]
+    fits: dict = {}  # c1 shape -> c2 shape -> whether a resolvent can hit
+    if _target is not None:
+        goal = _shape(_target)
+        goal_body = Counter(goal[3])
+
+    def can_hit(s1: tuple, s2: tuple) -> bool:
+        if s1[:2] != goal[:2]:
+            return False
+        extra = _arity_surplus(goal_body, s1[3], s2[1], s2[3])
+        return extra == 0 if mode == "sld" else extra >= 0
+
     depth = 0
     while frontier and depth < max_depth and target_hit is None:
         depth += 1
         new_keys: list = []
-        for k1, k2 in itertools.product(frontier, theory_keys):
+        directed = (_target is not None and max_clauses is None
+                    and depth == max_depth)
+        for k1 in frontier:
             if target_hit is not None:
                 break
-            c1, c2 = reps[k1], reps[k2]
-            if c2.head is None:
-                continue
-            c2r = renamed.get(k2)
-            if c2r is None:
-                c2r = renamed[k2] = rename_apart(c2)[0]
-            for step in _resolutions(c1, c2, c2r, kind):
-                admit(step.conclusion,
-                      _Prov(kind, (k1, k2), body_index=step.body_index),
-                      new_keys)
+            c1 = reps[k1]
+            s1 = _shape(c1) if directed else None
+            row = fits.setdefault(s1, {})
+            for k2, s2 in zip(theory_keys, shapes):
+                if target_hit is not None:
+                    break
+                c2 = reps[k2]
+                if c2.head is None:
+                    continue
+                if directed and (new_keys or truncated):
+                    fit = row.get(s2)
+                    if fit is None:
+                        fit = row[s2] = can_hit(s1, s2)
+                    if not fit:
+                        continue
+                c2r = renamed.get(k2)
+                if c2r is None:
+                    c2r = renamed[k2] = rename_apart(c2)[0]
+                for step in _resolutions(c1, c2, c2r, kind):
+                    admit(step.conclusion,
+                          _Prov(kind, (k1, k2), body_index=step.body_index),
+                          new_keys)
         if mode == "standard":
             # the list iterator also visits the keys admit appends
             seeds = theory_keys if depth == 1 else []

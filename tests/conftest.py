@@ -1,6 +1,7 @@
 """Shared helpers and slow corpora fixtures."""
 
 import itertools
+from typing import Iterator
 
 import pytest
 
@@ -8,6 +9,7 @@ from hornreduce.clauses import (
     Atom,
     HornClause,
     PredVar,
+    fresh_names,
     parse_clause,
     pending_variables,
 )
@@ -112,9 +114,60 @@ def oracle_structural_ok(spec, c: HornClause) -> bool:
             and not (spec.two_connected and pending_variables(c)))
 
 
+def single_splits(c: HornClause) -> Iterator[HornClause]:
+    """All proper generalizations of ``c`` obtained by one variable or
+    predicate split: a strict subset of the occurrences (never the first)
+    is renamed fresh.  Every proper generalization of ``c`` within a
+    fragment is reachable from one of these, since merging the split back
+    never breaks a structural constraint."""
+    literals = c.literals()
+    has_head = c.head is not None
+
+    def rebuild(atoms: list[Atom]) -> HornClause:
+        if has_head:
+            return HornClause(atoms[0], tuple(atoms[1:]))
+        return HornClause(None, tuple(atoms))
+
+    term_occ: dict[str, list[tuple[int, int]]] = {}
+    for li, atom in enumerate(literals):
+        for ai, v in enumerate(atom.args):
+            term_occ.setdefault(v, []).append((li, ai))
+    fresh_term = next(fresh_names("y", set(c.term_vars())))
+    for v, occ in term_occ.items():
+        if len(occ) < 2:
+            continue
+        rest = occ[1:]
+        for r in range(1, len(rest) + 1):
+            for subset in itertools.combinations(rest, r):
+                chosen = set(subset)
+                atoms = []
+                for li, atom in enumerate(literals):
+                    args = tuple(
+                        fresh_term if (li, ai) in chosen else arg
+                        for ai, arg in enumerate(atom.args))
+                    atoms.append(Atom(atom.pred, args))
+                yield rebuild(atoms)
+
+    pred_occ: dict[PredVar, list[int]] = {}
+    for li, atom in enumerate(literals):
+        pred_occ.setdefault(atom.pred, []).append(li)
+    fresh_pred = next(fresh_names("R", {p.name for p in c.pred_vars()}))
+    for p, occ in pred_occ.items():
+        if len(occ) < 2:
+            continue
+        rest = occ[1:]
+        for r in range(1, len(rest) + 1):
+            for subset in itertools.combinations(rest, r):
+                chosen = set(subset)
+                atoms = [
+                    Atom(PredVar(fresh_pred, p.arity), atom.args)
+                    if li in chosen else atom
+                    for li, atom in enumerate(literals)]
+                yield rebuild(atoms)
+
+
 def oracle_most_general_in(spec, c: HornClause) -> bool:
     """Most-generality by building every single split and testing it."""
-    from hornreduce.fragments import single_splits
     valid = oracle_structural_ok if spec.structural_generalizers else oracle_size_ok
     return not any(valid(spec, g) for g in single_splits(c))
 

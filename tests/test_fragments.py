@@ -28,7 +28,6 @@ from hornreduce.fragments import (
     horn_c,
     member,
     most_general_in,
-    single_splits,
 )
 from hornreduce.graphs import is_connected
 
@@ -38,6 +37,7 @@ from conftest import (
     cl,
     oracle_is_connected,
     oracle_member,
+    single_splits,
     oracle_most_general_in,
 )
 

@@ -1,7 +1,10 @@
 """Resolution steps, proof replay, closures, derivation search."""
 
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +57,15 @@ def chain3() -> HornClause:
     return cl("P0(x) :- P1(x), P2(x), P3(x).")
 
 
+C23_CORE = ("P0(x1) :- P1(x2,x1).", "P0(x1,x2) :- P1(x2).",
+            "P0(x1,x2) :- P1(x3,x1).", "P0(x1,x2) :- P1(x3,x2), P2(x4,x3).")
+
+
+def c23_core() -> Theory:
+    """The 4-clause core of horn_c(2,3)."""
+    return Theory(cl(t) for t in C23_CORE)
+
+
 # ---------------------------------------------------------------------------
 # Single inference rules
 # ---------------------------------------------------------------------------
@@ -64,6 +76,15 @@ def count_renames(monkeypatch) -> list:
     rename = hornreduce.resolution.rename_apart
     monkeypatch.setattr(hornreduce.resolution, "rename_apart",
                         lambda *a, **k: calls.append(a) or rename(*a, **k))
+    return calls
+
+
+def count_resolves(monkeypatch) -> list:
+    """Record every resolvent a forward scan builds in resolution."""
+    calls = []
+    build = hornreduce.resolution._resolve_renamed
+    monkeypatch.setattr(hornreduce.resolution, "_resolve_renamed",
+                        lambda *a: calls.append(a) or build(*a))
     return calls
 
 
@@ -320,13 +341,33 @@ def test_closure_standard_mode_factors():
 def test_closure_renames_each_premise_once(monkeypatch):
     # one rename per member of the 4-clause horn_c(2,3) core, where
     # renaming per resolved pair took 74
-    core = Theory(cl(t) for t in (
-        "P0(x1) :- P1(x2,x1).", "P0(x1,x2) :- P1(x2).",
-        "P0(x1,x2) :- P1(x3,x1).", "P0(x1,x2) :- P1(x3,x2), P2(x4,x3)."))
+    core = c23_core()
     calls = count_renames(monkeypatch)
     result = closure(core, 2, mode="sld", max_body=5)
     assert len(result.clauses) == 50
     assert len(calls) <= len(core)
+
+
+@pytest.mark.parametrize("mode", ["sld", "standard"])
+def test_closure_target_rule_stays_off_under_a_cap(mode):
+    core, goal = c23_core(), cl("P0(x1,x2) :- P1(x1), P2(x2).")
+    full = closure(core, 2, mode=mode, max_body=5)
+    free = closure(core, 2, mode=mode, max_body=5, _target=goal)
+    hit = free.target_hit
+    at = full.clauses.index(hit)
+    # uncapped, the last level skips pairs that cannot yield the goal, so
+    # the hit comes after fewer clauses; a cap must bite where it would in
+    # the full level: just before the hit, just after it, or not at all
+    assert len(free.clauses) < at
+    for cap in (at, at + 1, 1000):
+        plain = closure(core, 2, mode=mode, max_body=5, max_clauses=cap)
+        aimed = closure(core, 2, mode=mode, max_body=5, max_clauses=cap,
+                        _target=goal)
+        assert aimed.clauses == plain.clauses[:len(aimed.clauses)]
+        assert aimed.target_hit == (hit if cap > at else None)
+        if aimed.target_hit is None:
+            assert aimed.clauses == plain.clauses
+            assert aimed.truncated
 
 
 def test_closure_validates_arguments():
@@ -418,6 +459,62 @@ def test_search_final_unification_step():
     assert result.proof.steps[-1].kind == KIND_UNIFICATION
     assert result.proof.conclusion == target
     assert replay_proof(result.proof, theory=t)
+
+
+def test_search_factors_a_last_level_resolvent():
+    # the level's first new clause resolves the second member with itself;
+    # after it, only resolvents that can still factor into the goal are
+    # built, and the second member against the third is one of them
+    t = Theory([cl("P(x,y) :- S(x,y)."), cl("P(x) :- Q(x), S(y,y)."),
+                cl("S(z,u) :- Q(w).")])
+    result = search_derivation(t, cl("P(x) :- Q(x)."), 1, mode="standard")
+    assert result.found
+    assert [s.kind for s in result.proof.steps] == [
+        KIND_RESOLUTION, KIND_UNIFICATION, KIND_FACTORING]
+    assert replay_proof(result.proof, theory=t)
+
+
+def test_search_factors_a_member_without_the_whole_pair_scan(
+        monkeypatch, corpus_2c24):
+    # the one-step search misses this goal and closure's depth-1 level finds
+    # it by factoring a member; the full level made 1,745,909
+    # _resolve_renamed calls first, the pairs that can still hit make 464
+    goal = cl("P0(x1,x1) :- P1(x1).")
+    theory = Theory(corpus_2c24).without(goal)
+    calls = count_resolves(monkeypatch)
+    result = search_derivation(theory, goal, 1, mode="standard")
+    assert result.found and len(calls) < 10_000
+    assert replay_proof(result.proof, theory)
+    # the proof found by resolving every pair first
+    text = json.dumps(proof_to_json_dict(result.proof), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4c1acd50f45b959ba7d40a674857d489939088738b36f4d40c1ff088a728ffe1")
+
+
+# One sha256 over (goal, outcome, proof JSON) of every horn_c(2,4) goal from
+# the horn_c(2,3) core, per mode and depth, captured while closure's last
+# level still built every resolvent.
+DERIVE_CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "derive_corpus_golden.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", DERIVE_CORPUS["digests"],
+                         ids=lambda c: f"{c['mode']}@{c['depth']}")
+def test_derive_corpus_is_frozen(case, corpus_c24):
+    assert tuple(DERIVE_CORPUS["core"]) == C23_CORE
+    core, digest, outcomes = c23_core(), hashlib.sha256(), {}
+    for goal in corpus_c24:
+        res = search_derivation(core, goal, case["depth"], mode=case["mode"],
+                                max_body=DERIVE_CORPUS["max_body"])
+        outcome = ("found" if res.found
+                   else "truncated" if res.truncated else "underivable")
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        proof = proof_to_json_dict(res.proof) if res.found else None
+        digest.update(json.dumps([goal.text(), outcome, proof],
+                                 sort_keys=True).encode() + b"\n")
+    assert outcomes == case["outcomes"]
+    assert digest.hexdigest() == case["sha256"]
 
 
 def test_single_step_candidates_resolve_back():
