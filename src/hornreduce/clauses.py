@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, ItemsView, Iterable, Iterator
 
 
 class ArityMismatchError(ValueError):
@@ -629,9 +629,17 @@ class Theory:
     def __contains__(self, c: HornClause) -> bool:
         return canonical_key(c) in self._by_key
 
+    def items(self) -> ItemsView[tuple, HornClause]:
+        """The (canonical key, member) pairs in insertion order."""
+        return self._by_key.items()
+
+    def get(self, key: tuple) -> HornClause | None:
+        """The member with canonical key ``key``, or None."""
+        return self._by_key.get(key)
+
     def find(self, c: HornClause) -> HornClause | None:
         """The member alpha-equivalent to ``c``, or None."""
-        return self._by_key.get(canonical_key(c))
+        return self.get(canonical_key(c))
 
     def ordered(self, order: Callable[[tuple, HornClause], Any]) -> "Theory":
         """The same members, reordered by ``order(canonical key, clause)``."""

@@ -14,9 +14,10 @@ representative per clause, deterministically ordered.
 
 Connectivity and most-generality are decided on per-variable literal masks
 (bit ``k`` set when literal ``k``, head first, holds the variable) rather
-than on clause graphs and split clauses.  Enumeration builds the raw
-clauses of every variable assignment and predicate pattern, filters them on
-those masks, and canonicalizes only the raw clauses that pass.
+than on clause graphs and split clauses.  Enumeration keeps those masks
+while it assigns variables to argument positions, decides both tests on
+them, and builds and canonicalizes only the clauses of the assignments that
+pass.
 """
 
 from __future__ import annotations
@@ -106,30 +107,24 @@ def _structural_ok(spec: FragmentSpec, c: HornClause) -> bool:
 
 def most_general_in(spec: FragmentSpec, c: HornClause) -> bool:
     """True iff no single split of ``c`` is a valid generalizer for
-    ``spec``, decided on literal masks without building one.  A single
-    split renames a strict subset of one variable's or one predicate's
-    occurrences (never the first) fresh; every proper generalization of
-    ``c`` within a fragment is reachable from one, since merging the split
-    back never breaks a structural constraint.
+    ``spec``, decided on literal masks without building one (see
+    :func:`_most_general`).  A single split renames a strict subset of one
+    variable's or one predicate's occurrences (never the first) fresh;
+    every proper generalization of ``c`` within a fragment is reachable
+    from one, since merging the split back never breaks a structural
+    constraint.
 
     A split keeps the head, the arities and the body size, so it passes
-    :func:`_size_ok` exactly when ``c`` does; it never joins literals that
-    ``c`` leaves apart nor gives a variable a second literal.  A predicate
-    split keeps the clause graph, and its predicates are distinct only when
-    ``c`` repeats one predicate exactly twice.  A term split renames some
-    occurrences of a variable apart, replacing its mask by two masks that
-    cover it; it is valid when the masks still span the literals (connected)
-    and both hold two literals (two-connected).
+    :func:`_size_ok` exactly when ``c`` does.
     """
     if not _size_ok(spec, c):
         return True
     literals = c.literals()
-    n = len(literals)
     preds = [a.pred for a in literals]
     repeats = (sorted(k for k in Counter(preds).values() if k > 1)
-               if len(set(preds)) < n else [])
+               if len(set(preds)) < len(preds) else [])
     masks: dict[str, int] = {}
-    multi: dict[str, int] = {}  # literals holding the variable twice or more
+    multi: dict[str, int] = {}
     for k, atom in enumerate(literals):
         bit = 1 << k
         for v in atom.args:
@@ -137,27 +132,48 @@ def most_general_in(spec: FragmentSpec, c: HornClause) -> bool:
             if m & bit:
                 multi[v] = multi.get(v, 0) | bit
             masks[v] = m | bit
+    return _most_general(spec, list(masks.values()),
+                         [multi.get(v, 0) for v in masks], repeats,
+                         len(literals))
+
+
+def _most_general(spec: FragmentSpec, masks: list[int], multi: list[int],
+                  repeats: list[int], n: int) -> bool:
+    """The most-generality rule for a clause of ``n`` literals that passes
+    :func:`_size_ok`, given as one literal mask per term variable
+    (``masks``), the literals holding that variable twice or more
+    (``multi``, aligned) and the sorted multiplicities of its repeated
+    predicates (``repeats``).
+
+    A split never joins literals that the clause leaves apart nor gives a
+    variable a second literal.  A predicate split keeps the clause graph,
+    and its predicates are distinct only when the clause repeats one
+    predicate exactly twice.  A term split renames some occurrences of a
+    variable apart, replacing its mask by two masks that cover it; it is
+    valid when the masks still span the literals (connected) and both hold
+    two literals (two-connected).
+    """
     if not spec.structural_generalizers:
         # every split is valid, so only a clause without one is most general
-        return not repeats and not multi and all(
-            m.bit_count() < 2 for m in masks.values())
-    if spec.two_connected and any(m.bit_count() < 2 for m in masks.values()):
+        return not repeats and not any(multi) and all(
+            m.bit_count() < 2 for m in masks)
+    if spec.two_connected and any(m.bit_count() < 2 for m in masks):
         return True
     if repeats:
         # a term split keeps the repeat; a predicate split keeps the graph
         # and is valid unless the predicates must be distinct
-        if spec.connected and not _spans(masks.values(), n):
+        if spec.connected and not _spans(masks, n):
             return True
         return spec.distinct_predvars and repeats != [2]
-    for v, m in masks.items():
-        # Literals holding ``v`` more than once keep it on both sides of the
-        # split; that only adds to both masks, so it is never worse.  The
-        # other literals go wholly to one side, the first one's to ``m1``.
-        both = multi.get(v, 0)
+    for i, m in enumerate(masks):
+        # Literals holding the variable more than once keep it on both sides
+        # of the split; that only adds to both masks, so it is never worse.
+        # The other literals go wholly to one side, the first one's to ``m1``.
+        both = multi[i]
         free = m & ~both & ~(m & -m)
         if not free | both:
             continue  # a single occurrence has no split
-        others = [u for w, u in masks.items() if w != v]
+        others = masks[:i] + masks[i + 1:]
         t = free
         while True:
             m1, m2 = m & ~t, t | both
@@ -182,9 +198,28 @@ def member(spec: FragmentSpec, c: HornClause) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _variable_assignments(spec: FragmentSpec, head_arity: int,
-                          body_arities: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Set partitions of the argument positions, as block indices per position.
+def _arity_profiles(spec: FragmentSpec) -> Iterator[tuple[int, ...]]:
+    """The literal arities of the fragment's clauses, head first, body
+    arities non-decreasing, by body size then head arity."""
+    body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
+    for s in body_sizes:
+        for head_arity in range(1, spec.max_arity + 1):
+            for body_ar in itertools.combinations_with_replacement(
+                    range(1, spec.max_arity + 1), s):
+                yield (head_arity,) + body_ar
+
+
+def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
+                          ) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """Set partitions of the argument positions of literals of ``arities``
+    (head first), each with its blocks' literal masks.
+
+    Yields ``(assign, masks, multi)``: ``assign`` holds a block index per
+    position, and block ``b`` is the variable of the positions holding
+    ``b``; bit ``k`` of ``masks[b]`` is set when literal ``k`` holds that
+    variable, and of ``multi[b]`` when literal ``k`` holds it twice or
+    more.  The three lists are the search's own state, valid until the
+    next item is drawn.
 
     Partitions are generated as restricted growth strings with three prunes:
     two-connected fragments bound the number of blocks still touching a
@@ -194,76 +229,82 @@ def _variable_assignments(spec: FragmentSpec, head_arity: int,
     literals of equal arity must carry non-decreasing block slices, cutting
     permutation copies that canonical dedup would otherwise discard.
     """
-    arities = (head_arity,) + tuple(body_arities)
-    pos_lit: list[int] = []
-    for li, a in enumerate(arities):
-        pos_lit.extend([li] * a)
+    pos_lit = [li for li, a in enumerate(arities) for _ in range(a)]
     total = len(pos_lit)
-    lit_start = [0] * len(arities)
-    for li in range(1, len(arities)):
-        lit_start[li] = lit_start[li - 1] + arities[li - 1]
-
+    lit_start = list(itertools.accumulate(arities, initial=0))
     two_c = spec.two_connected
-    pair_prune = spec.most_general and not spec.two_connected
+    pair_prune = spec.most_general and not two_c
 
     assign = [0] * total
-    block_lits: list[set[int]] = []
-    pair_shared: dict[tuple[int, int], int] = {}
-    state = {"deficient": 0}
+    masks: list[int] = []
+    multi: list[int] = []
 
-    def rec(pos: int, tied: bool) -> Iterator[tuple[int, ...]]:
+    def rec(pos: int, tied: bool, shared: int, deficient: int
+            ) -> Iterator[tuple[list[int], list[int], list[int]]]:
+        # ``shared``: the literals sharing a variable with the current
+        # literal so far (its own bit included); ``deficient``: the blocks
+        # holding a single literal, none at the end when two-connected
         if pos == total:
-            if not two_c or state["deficient"] == 0:
-                yield tuple(assign)
+            yield assign, masks, multi
             return
         lit = pos_lit[pos]
+        bit = 1 << lit
         if pos == lit_start[lit]:
             # a body literal after one of equal arity starts slice-tied
             tied = lit >= 2 and arities[lit] == arities[lit - 1]
-        for b in range(len(block_lits) + 1):
-            if tied:
-                prev_val = assign[pos - arities[lit]]
-                if b < prev_val:
+            shared = 0
+        lo = assign[pos - arities[lit]] if tied else 0
+        left = total - pos - 1
+        for b in range(lo, len(masks)):
+            m = masks[b]
+            if m & bit:
+                # the block is already in this literal: a repeat within it
+                if two_c and deficient > left:
                     continue
-                next_tied = b == prev_val
-            else:
-                next_tied = False
-            new_block = b == len(block_lits)
-            added_lit = False
-            pairs_bumped: list[tuple[int, int]] = []
-            violated = False
-            if new_block:
-                block_lits.append({lit})
-                state["deficient"] += 1
-            else:
-                lits = block_lits[b]
-                if lit not in lits:
-                    added_lit = True
-                    if len(lits) == 1:
-                        state["deficient"] -= 1
-                    for l2 in lits:
-                        pair = (l2, lit)
-                        pair_shared[pair] = pair_shared.get(pair, 0) + 1
-                        pairs_bumped.append(pair)
-                        if pair_prune and pair_shared[pair] >= 2:
-                            violated = True
-                    lits.add(lit)
-            if not violated and (not two_c
-                                 or state["deficient"] <= total - pos - 1):
+                old = multi[b]
+                multi[b] = old | bit
                 assign[pos] = b
-                yield from rec(pos + 1, next_tied)
-            if new_block:
-                block_lits.pop()
-                state["deficient"] -= 1
-            else:
-                if added_lit:
-                    block_lits[b].discard(lit)
-                    if len(block_lits[b]) == 1:
-                        state["deficient"] += 1
-                    for pair in pairs_bumped:
-                        pair_shared[pair] -= 1
+                yield from rec(pos + 1, tied and b == lo, shared, deficient)
+                multi[b] = old
+                continue
+            if pair_prune and m & shared:
+                continue  # a second variable shared with some literal
+            d = deficient - (m & (m - 1) == 0)
+            if two_c and d > left:
+                continue
+            masks[b] = m | bit
+            assign[pos] = b
+            yield from rec(pos + 1, tied and b == lo, shared | m | bit, d)
+            masks[b] = m
+        if not two_c or deficient < left:
+            b = len(masks)
+            masks.append(bit)
+            multi.append(0)
+            assign[pos] = b
+            # a new block exceeds any tied value: the slices now differ
+            yield from rec(pos + 1, False, shared | bit, deficient + 1)
+            masks.pop()
+            multi.pop()
 
-    yield from rec(0, False)
+    yield from rec(0, False, 0, 0)
+
+
+def _mask_filter(spec: FragmentSpec, masks: list[int], multi: list[int],
+                 n: int) -> bool:
+    """Whether the clauses of one variable assignment of ``n`` literals
+    pass the fragment's connectivity and most-generality tests, from the
+    assignment's literal masks (see :func:`_variable_assignments`).
+
+    Predicates do not change the clause graph, so connectivity holds for
+    every predicate pattern or none.  A most-general fragment has one
+    pattern, with distinct predicates (:func:`_pred_patterns`), so the
+    most-generality rule sees no repeat.  Two-connected assignments leave
+    no block within a single literal, so no clause built from one has a
+    pending variable.
+    """
+    if spec.connected and not _spans(masks, n):
+        return False
+    return not spec.most_general or _most_general(spec, masks, multi, [], n)
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
@@ -302,38 +343,34 @@ def _pred_patterns(spec: FragmentSpec, arities: tuple[int, ...]
         yield tuple(preds[i] for i in range(n))
 
 
-def _raw_clauses(spec: FragmentSpec) -> Iterator[HornClause]:
-    """Every clause enumeration builds: per arity profile, each variable
-    assignment under each predicate pattern."""
-    body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
-    for s in body_sizes:
-        for head_arity in range(1, spec.max_arity + 1):
-            for body_ar in itertools.combinations_with_replacement(
-                    range(1, spec.max_arity + 1), s):
-                arities = (head_arity,) + body_ar
-                patterns = tuple(_pred_patterns(spec, arities))
-                names = tuple(f"x{b}" for b in range(1, sum(arities) + 1))
-                bounds = list(itertools.pairwise(
-                    itertools.accumulate(arities, initial=0)))
-                for assignment in _variable_assignments(spec, head_arity, body_ar):
-                    named = tuple(map(names.__getitem__, assignment))
-                    args = [named[i:j] for i, j in bounds]
-                    for preds in patterns:
-                        head, *body = map(Atom, preds, args)
-                        yield HornClause(head, tuple(body))
-
-
 @lru_cache(maxsize=None)
 def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
     """All fragment members, one canonical representative each, sorted by
-    body size, then body arity profile, head arity, and canonical key."""
-    # Raw clauses are filtered before canonicalization: most-generality is
-    # invariant under renaming, so only survivors need a key.  Two-connected
-    # raw clauses have no pending variable by construction: the variable
-    # assignments leave no block within a single literal.
-    keys = {canonical_key(c) for c in _raw_clauses(spec)
-            if (not spec.connected or is_connected(c))
-            and (not spec.most_general or most_general_in(spec, c))}
+    body size, then body arity profile, head arity, and canonical key.
+
+    Connectivity and most-generality are decided on the literal masks each
+    variable assignment comes with (:func:`_mask_filter`), so only the
+    assignments that pass are built as clauses.  Those are confirmed by
+    :func:`most_general_in` and canonicalized; most-generality is invariant
+    under renaming, so no other clause needs a key.
+    """
+    keys = set()
+    for arities in _arity_profiles(spec):
+        n = len(arities)
+        patterns = tuple(_pred_patterns(spec, arities))
+        names = tuple(f"x{b}" for b in range(1, sum(arities) + 1))
+        bounds = list(itertools.pairwise(
+            itertools.accumulate(arities, initial=0)))
+        for assign, masks, multi in _variable_assignments(spec, arities):
+            if not _mask_filter(spec, masks, multi, n):
+                continue
+            named = tuple(map(names.__getitem__, assign))
+            args = [named[i:j] for i, j in bounds]
+            for preds in patterns:
+                head, *body = map(Atom, preds, args)
+                c = HornClause(head, tuple(body))
+                if not spec.most_general or most_general_in(spec, c):
+                    keys.add(canonical_key(c))
     # Most survivors repeat a class, so representatives are spelled only
     # from the distinct keys.
     keyed = [(key, _representative(key)) for key in keys]

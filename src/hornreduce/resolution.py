@@ -323,7 +323,8 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     truncated = False
     target_hit: HornClause | None = None
 
-    def admit(raw: HornClause, record: _Prov | None, new_keys: list) -> None:
+    def admit(raw: HornClause, record: _Prov | None, new_keys: list,
+              key: tuple | None = None) -> None:
         nonlocal truncated, target_hit
         if max_body is not None and raw.body_size > max_body:
             truncated = True
@@ -331,7 +332,8 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         if max_clauses is not None and len(reps) >= max_clauses:
             truncated = True
             return
-        key = canonical_key(raw)
+        if key is None:
+            key = canonical_key(raw)
         if key in reps:
             return
         reps[key] = rep = _representative(key)
@@ -343,8 +345,8 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
                 target_hit = rep
 
     theory_keys: list = []
-    for c in theory:
-        admit(c, None, theory_keys)
+    for key, c in theory.items():
+        admit(c, None, theory_keys, key)
     frontier = theory_keys
 
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
@@ -420,8 +422,9 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
 
 
 def _proof_from_closure(result: ClosureResult, derived: HornClause,
-                        target: HornClause) -> Proof:
-    """Reconstruct a proof of ``target`` from closure provenance."""
+                        target: HornClause, target_key: tuple) -> Proof:
+    """Reconstruct a proof of ``target`` (canonical key ``target_key``)
+    from closure provenance."""
     reps, prov = result._reps, result._prov
     goal_key = canonical_key(derived)
 
@@ -457,7 +460,7 @@ def _proof_from_closure(result: ClosureResult, derived: HornClause,
             assert bridge is not None
             steps.append(bridge)
 
-    if canonical_key(target) == goal_key:
+    if target_key == goal_key:
         return Proof(inputs, tuple(steps), target)
     final = unify_onto(reps[goal_key], target)
     assert final is not None
@@ -499,8 +502,9 @@ def _shape(c: HornClause) -> tuple:
             tuple(sorted(a.pred.arity for a in c.body)))
 
 
-def _instance_axiom_proof(theory: Theory, target: HornClause) -> Proof | None:
-    m = theory.find(target)
+def _instance_axiom_proof(theory: Theory, target: HornClause,
+                          goal: tuple) -> Proof | None:
+    m = theory.get(goal)
     if m is not None:
         return Proof((m,), (), target)
     for m in theory:
@@ -570,15 +574,15 @@ def single_step_candidates(target: HornClause, max_arity: int,
                        len(b1))
 
 
-def _inverse_single_step(theory: Theory, target: HornClause,
+def _inverse_single_step(theory: Theory, target: HornClause, goal: tuple,
                          mode: str) -> Proof | None:
-    """Complete search for derivations with exactly one resolution step."""
+    """Complete search for derivations with exactly one resolution step
+    onto ``target``, whose canonical key is ``goal``."""
     max_arity = max((c.max_arity() for c in theory), default=0)
     if max_arity == 0:
         return None
     index = _theory_shape_index(theory)
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
-    goal = canonical_key(target)
     for c1, c2, _ in single_step_candidates(target, max_arity, index):
         firsts = [d for d in index.get(_shape(c1), ())
                   if is_instance(c1, d) is not None]
@@ -619,9 +623,10 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
     if len(theory) == 0:
         return SearchResult(None, truncated=False)
 
-    proof = _instance_axiom_proof(theory, target)
+    goal = canonical_key(target)
+    proof = _instance_axiom_proof(theory, target, goal)
     if proof is None and max_depth >= 1:
-        proof = _inverse_single_step(theory, target, mode)
+        proof = _inverse_single_step(theory, target, goal, mode)
     if proof is not None:
         return SearchResult(proof, truncated=False)
     needs_closure = max_depth >= 2 or (mode == "standard" and max_depth >= 1)
@@ -633,7 +638,8 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
                      max_clauses=max_clauses, _target=target)
     if result.target_hit is not None:
         return SearchResult(
-            _proof_from_closure(result, result.target_hit, target), truncated=False)
+            _proof_from_closure(result, result.target_hit, target, goal),
+            truncated=False)
     # a fixpoint without drops is a definitive no; anything else is a cut
     return SearchResult(None, truncated=result.truncated)
 

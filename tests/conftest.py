@@ -177,6 +177,24 @@ def oracle_member(spec, c: HornClause) -> bool:
         not spec.most_general or oracle_most_general_in(spec, c))
 
 
+def raw_clauses(spec) -> Iterator[tuple[list[int], list[int], HornClause]]:
+    """Every clause enumeration could build, before any filter: per arity
+    profile, each variable assignment under each predicate pattern, with
+    the assignment's literal masks.  The mask lists are valid until the
+    next item is drawn."""
+    from hornreduce.fragments import (
+        _arity_profiles, _pred_patterns, _variable_assignments)
+    for arities in _arity_profiles(spec):
+        patterns = tuple(_pred_patterns(spec, arities))
+        starts = list(itertools.accumulate(arities, initial=0))
+        for assign, masks, multi in _variable_assignments(spec, arities):
+            args = [tuple(f"x{b + 1}" for b in assign[i:j])
+                    for i, j in itertools.pairwise(starts)]
+            for preds in patterns:
+                head, *body = map(Atom, preds, args)
+                yield masks, multi, HornClause(head, tuple(body))
+
+
 @pytest.fixture(scope="session")
 def corpus_c13():
     from hornreduce.fragments import horn_c

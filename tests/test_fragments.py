@@ -35,10 +35,12 @@ from conftest import (
     c_base,
     c_triadic,
     cl,
+    oracle_canonical_key,
     oracle_is_connected,
     oracle_member,
     single_splits,
     oracle_most_general_in,
+    raw_clauses,
 )
 
 
@@ -87,9 +89,9 @@ def oracle_pred_patterns(spec, arities):
         yield tuple(assign[i] for i in range(n))
 
 
-def oracle_structural_pool(spec):
-    """All structurally valid clauses (most-generality not yet applied)."""
-    out = {}
+def oracle_raw_pool(spec):
+    """Every set partition of the argument positions under every predicate
+    pattern, for every arity profile within the size bounds: no pruning."""
     body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
     for s in body_sizes:
         for h in range(1, spec.max_arity + 1):
@@ -104,13 +106,19 @@ def oracle_structural_pool(spec):
                             args = tuple(f"x{rgs[pos + k] + 1}" for k in range(a))
                             atoms.append(Atom(preds[li], args))
                             pos += a
-                        c = HornClause(atoms[0], tuple(atoms[1:]))
-                        if spec.connected and not is_connected(c):
-                            continue
-                        if spec.two_connected and pending_variables(c):
-                            continue
-                        key, canon = canonical(c)
-                        out.setdefault(key, canon)
+                        yield HornClause(atoms[0], tuple(atoms[1:]))
+
+
+def oracle_structural_pool(spec):
+    """All structurally valid clauses (most-generality not yet applied)."""
+    out = {}
+    for c in oracle_raw_pool(spec):
+        if spec.connected and not is_connected(c):
+            continue
+        if spec.two_connected and pending_variables(c):
+            continue
+        key, canon = canonical(c)
+        out.setdefault(key, canon)
     return list(out.values())
 
 
@@ -153,6 +161,36 @@ ORACLE_SPECS = [
 def test_enumeration_matches_oracle(spec):
     got = {canonical_key(c) for c in enumerate_fragment(spec)}
     assert got == oracle_enumerate(spec)
+
+
+# Specs the golden file lacks: two-connected without connected,
+# most-general without distinct predicates, size-only generalizers with
+# two-connectedness.
+BRUTE_SPECS = [
+    FragmentSpec(2, 2, two_connected=True),
+    FragmentSpec(2, 3, two_connected=True, distinct_predvars=True,
+                 most_general=True),
+    FragmentSpec(3, 1, two_connected=True, most_general=True),
+    FragmentSpec(2, 2, most_general=True),
+    FragmentSpec(2, 2, connected=True, most_general=True),
+    FragmentSpec(1, 3, most_general=True, structural_generalizers=False),
+    FragmentSpec(2, 2, two_connected=True, most_general=True,
+                 structural_generalizers=False),
+    FragmentSpec(1, 3, connected=True, two_connected=True,
+                 distinct_predvars=True, most_general=True,
+                 structural_generalizers=False),
+    FragmentSpec(2, 2, two_connected=True, distinct_predvars=True),
+]
+
+
+@pytest.mark.parametrize("spec", BRUTE_SPECS, ids=lambda s: repr(s)[13:60])
+def test_enumeration_matches_brute_force(spec):
+    """Every set partition under every predicate pattern, kept by the
+    split-building membership oracle and keyed by the permutation-minimizing
+    oracle key."""
+    want = {oracle_canonical_key(c) for c in oracle_raw_pool(spec)
+            if oracle_member(spec, c)}
+    assert {oracle_canonical_key(c) for c in enumerate_fragment(spec)} == want
 
 
 def test_size_only_generalizers_differ():
@@ -333,11 +371,15 @@ RAW_SPECS = {
 
 @pytest.mark.parametrize("name", RAW_SPECS)
 def test_mask_verdicts_match_oracles_on_raw_clauses(name):
-    """Every clause enumeration builds, before any filter.  Two-connected
-    specs build no clause with a pending variable, so enumeration need not
-    test for one."""
+    """Every clause enumeration could build: the mask filter's verdict on
+    its variable assignment is the membership oracle's on the clause.
+    Two-connected specs build no clause with a pending variable, so
+    enumeration need not test for one."""
     spec = RAW_SPECS[name]
-    for c in fragments._raw_clauses(spec):
+    for masks, multi, c in raw_clauses(spec):
+        n = len(c.literals())
+        assert fragments._mask_filter(spec, masks, multi, n) == \
+            oracle_member(spec, c), (spec, c)
         verdicts_match_oracles(spec, c)
         assert not (spec.two_connected and pending_variables(c)), c
 
@@ -366,15 +408,20 @@ def test_mask_verdicts_match_oracles_on_random_clauses(c, spec):
 
 
 def test_enumeration_canonicalizes_only_survivors(monkeypatch):
-    """A cold horn_c(2,3) enumeration keys the 370 raw clauses that pass
-    the connectivity and most-generality filters, not all 831 connected
-    ones."""
-    calls = []
+    """A cold horn_c(2,3) enumeration keys the 370 variable assignments
+    that pass the connectivity and most-generality filters, not all 831
+    connected ones, and builds a clause only for those and for the 282
+    members' representatives, not for all 2,189 assignments."""
+    calls, built = [], []
     key = fragments.canonical_key
     monkeypatch.setattr(fragments, "canonical_key",
                         lambda c: calls.append(c) or key(c))
+    check = HornClause.__post_init__
+    monkeypatch.setattr(HornClause, "__post_init__",
+                        lambda c: built.append(c) or check(c))
     got = enumerate_fragment.__wrapped__(horn_c(2, 3))
     assert len(calls) == 370
+    assert len(built) <= 370 + 282
     assert got == enumerate_fragment(horn_c(2, 3))
 
 

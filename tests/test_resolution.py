@@ -21,6 +21,7 @@ from hornreduce.clauses import (
     rename_apart,
 )
 from hornreduce.fragments import enumerate_fragment, horn_2c, horn_c
+import hornreduce.clauses
 import hornreduce.resolution
 from hornreduce.resolution import (
     KIND_FACTORING,
@@ -425,6 +426,21 @@ def test_search_depth_two_uses_closure():
     assert result.found
     assert replay_proof(result.proof, theory=t)
     assert alpha_equivalent(result.proof.conclusion, target)
+
+
+def test_search_keys_the_target_once_and_no_member(monkeypatch):
+    """The instance lookup, the one-step search and the closure proof share
+    one key of the target, and closure takes the theory's member keys."""
+    t = Theory([cl("P0(x) :- P1(x), P2(x).")])
+    target = cl("P0(x) :- A(x), B(x), C(x), D(x).")
+    keyed = []
+    for module in (hornreduce.clauses, hornreduce.resolution):
+        key = module.canonical_key
+        monkeypatch.setattr(module, "canonical_key",
+                            lambda c, key=key: keyed.append(c) or key(c))
+    assert search_derivation(t, target, max_depth=2).found
+    assert sum(c is target for c in keyed) == 1
+    assert not any(c is m for c in keyed for m in t)
 
 
 def test_search_standard_mode_uses_factoring():
