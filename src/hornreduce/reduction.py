@@ -569,12 +569,21 @@ def _removal_order(key: tuple, d: HornClause) -> tuple:
 
 
 def _recompose(core: Theory, removed: list) -> tuple[bool, object]:
-    """Rewrite removal proofs against the final core, later removals first."""
+    """Rewrite removal proofs against the final core, later removals first.
+
+    A spliced proof shares step objects with the proofs spliced into it, so
+    one ``replayed`` dict serves every proof of this recomposition: it holds
+    the steps already recomputed successfully (and only those), for this
+    one core, and a shared step is recomputed once.  Premise availability,
+    inputs against the core and the final conclusion are still checked
+    for every proof.
+    """
     providers: dict = {}
+    replayed: dict = {}
     out_rev = []
     for clause, proof in reversed(removed):
         p = _splice_inputs(proof, providers)
-        if p is None or not replay_proof(p, core):
+        if p is None or not replay_proof(p, core, _replayed=replayed):
             return False, clause
         providers[clause] = p
         out_rev.append((clause, p))

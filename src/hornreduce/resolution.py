@@ -10,6 +10,10 @@ the closure.
 Every search returns a :class:`Proof` whose steps carry the actual premise
 clauses, the unifiers, and exact conclusions; :func:`replay_proof`
 independently recomputes each step, so a proof cannot silently go stale.
+It checks premise availability by hash.  Proofs that share step objects
+(``reduce`` splices later removal proofs into earlier ones) may share one
+record of replayed steps, so each distinct inference is recomputed once
+per recomposition while every proof's other checks still run.
 """
 
 from __future__ import annotations
@@ -230,28 +234,40 @@ def _step_replays(step: InferenceStep) -> bool:
     return redone is not None and redone.conclusion == step.conclusion
 
 
-def replay_proof(proof: Proof, theory: Theory | Iterable[HornClause] | None = None) -> bool:
+def replay_proof(proof: Proof, theory: Theory | Iterable[HornClause] | None = None,
+                 *, _replayed: dict | None = None) -> bool:
     """Recompute every step of ``proof`` and check it end to end.
 
     Premises must be clauses already available (inputs or earlier
-    conclusions, exactly); resolution and factoring conclusions are
-    recomputed and compared exactly; variable-unification conclusions must
-    equal the instantiated premise as head plus body multiset; the final
-    clause must be alpha-equivalent to the claimed conclusion.  When a theory
-    is supplied every input must be alpha-equivalent to one of its members.
-    A step that does not replay makes the answer False, never an exception.
+    conclusions, exactly; looked up by hash); resolution and factoring
+    conclusions are recomputed and compared exactly; variable-unification
+    conclusions must equal the instantiated premise as head plus body
+    multiset; the final clause must be alpha-equivalent to the claimed
+    conclusion.  When a theory is supplied every input must be one of its
+    member objects or alpha-equivalent to one.  A step that does not replay
+    makes the answer False, never an exception.
+
+    ``_replayed`` maps ``id(step)`` to each step object already recomputed
+    successfully (the value keeps the step alive, so its id stays unique);
+    such a step is not recomputed again, and a successful recomputation is
+    added.  Every other check still runs on every proof.
     """
     if theory is not None:
         if not isinstance(theory, Theory):
             theory = Theory(theory)
-        if not all(inp in theory for inp in proof.inputs):
+        members = {id(m) for m in theory}
+        if not all(id(inp) in members or inp in theory for inp in proof.inputs):
             return False
-    available: list[HornClause] = list(proof.inputs)
+    replayed = {} if _replayed is None else _replayed
+    available = set(proof.inputs)
     for step in proof.steps:
-        if any(p not in available for p in step.premises) \
-                or not _step_replays(step):
+        if not all(p in available for p in step.premises):
             return False
-        available.append(step.conclusion)
+        if id(step) not in replayed:
+            if not _step_replays(step):
+                return False
+            replayed[id(step)] = step
+        available.add(step.conclusion)
     if proof.steps:
         return alpha_equivalent(proof.steps[-1].conclusion, proof.conclusion)
     return len(proof.inputs) == 1 and alpha_equivalent(proof.inputs[0], proof.conclusion)
@@ -649,21 +665,24 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
 # ---------------------------------------------------------------------------
 
 def proof_to_json_dict(proof: Proof) -> dict:
-    """A JSON-ready dict; premises become ("input", i) / ("step", j) refs."""
-    def ref(clause: HornClause, upto: int) -> list:
-        for i, inp in enumerate(proof.inputs):
-            if inp == clause:
-                return ["input", i]
-        for j in range(upto):
-            if proof.steps[j].conclusion == clause:
-                return ["step", j]
-        raise ValueError("step premise is not an input or earlier conclusion")
+    """A JSON-ready dict; premises become ("input", i) / ("step", j) refs.
 
+    A premise refers to the first input equal to it, else to the earliest
+    earlier step concluding it; ValueError when there is none.
+    """
+    refs: dict[HornClause, tuple[str, int]] = {}
+    for i, inp in enumerate(proof.inputs):
+        refs.setdefault(inp, ("input", i))
     steps = []
     for j, step in enumerate(proof.steps):
+        try:
+            premises = [list(refs[p]) for p in step.premises]
+        except KeyError:
+            raise ValueError("step premise is not an input or earlier "
+                             "conclusion") from None
         entry: dict = {
             "kind": step.kind,
-            "premises": [ref(p, j) for p in step.premises],
+            "premises": premises,
             "conclusion": step.conclusion.text(),
         }
         if step.body_index is not None:
@@ -675,6 +694,7 @@ def proof_to_json_dict(proof: Proof) -> dict:
         if step.unifier is not None:
             entry["unifier"] = step.unifier.to_json_dict()
         steps.append(entry)
+        refs.setdefault(step.conclusion, ("step", j))
     return {
         "inputs": [c.text() for c in proof.inputs],
         "steps": steps,

@@ -382,7 +382,9 @@ def test_over_long_clause_is_inconclusive():
 # horn_c(2,4) goals from the 4-clause horn_c(2,3) core with max body 5,
 # standard mode at depth 1 and sld mode at depth 2, found and unknown (no
 # goal is not-derivable there: the core's first closure level is never
-# empty).  A case with a ``theory`` runs with the text written to a file
+# empty); and reduce lines captured before removal proofs shared one
+# record of replayed steps: fragments 3,1,2c and 2,2,2c, whose spliced
+# proofs are the longest, and 2,2,c in standard mode.  A case with a ``theory`` runs with the text written to a file
 # whose path replaces the argv token ``THEORY``.
 GOLDEN = [case for name in ("cli_golden.json", "reduce_derive_golden.json")
           for case in json.loads((Path(__file__).parent / "data" / name)

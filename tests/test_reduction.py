@@ -618,13 +618,64 @@ def test_reduce_theory_accepts_theory_and_deduplicates():
 
 def test_reduce_theory_reuses_canonical_keys(monkeypatch, corpus_c23):
     # Each candidate removal canonicalizes the candidate, not the rest of
-    # the theory, and the visiting order reuses the input theory's keys:
-    # 3,115 calls here, where rebuilding the remaining theory per candidate
-    # took 126,044 and keying each input clause three times 3,679.
+    # the theory, the visiting order reuses the input theory's keys, and
+    # replay accepts an input that is a core member object without keying
+    # it: 1,787 calls here, where keying every replayed input took 2,829,
+    # rebuilding the remaining theory per candidate 126,044 and keying each
+    # input clause three times 3,679.
     calls = count_serializations(monkeypatch)
     report = reduce_theory(corpus_c23)
     assert len(report.core) + len(report.removed) == 282
-    assert len(calls) <= 3150
+    assert len(calls) <= 1800
+
+
+def test_recompose_replays_each_distinct_step_once(monkeypatch):
+    # Spliced removal proofs share step objects: 711 steps over the 50
+    # proofs, 108 distinct objects, and each is recomputed once.
+    calls = []
+    step_replays = hornreduce.resolution._step_replays
+    monkeypatch.setattr(hornreduce.resolution, "_step_replays",
+                        lambda step: calls.append(step) or step_replays(step))
+    report = reduce_fragment(horn_c(2, 2))
+    steps = [s for _, proof in report.removed for s in proof.steps]
+    distinct = {id(s) for s in steps}
+    assert (len(report.removed), len(steps)) == (50, 711)
+    assert len(calls) == len(distinct) == 108
+    assert {id(s) for s in calls} == distinct
+
+
+def test_reduce_theory_reinstates_a_clause_whose_proof_fails(monkeypatch):
+    # Standard-mode horn_c(1,4) reduces to the body-2 clause with no bound
+    # hit.  Forging the recomposed proof of the body-4 clause once returns
+    # it to the core: the body-2 clause cannot derive it in one step, and
+    # it derives the body-2 clause by factoring, so the core changes.
+    theory = enumerate_fragment(horn_c(1, 4))
+    plain = reduce_theory(theory, "standard")
+    assert [c.body_size for c in plain.core] == [2]
+    assert not plain.bounds_hit
+    chosen = next(c for c, _ in plain.removed if c.body_size == 4)
+    splice = hornreduce.reduction._splice_inputs
+    forged = []
+
+    def forge_once(proof, providers):
+        p = splice(proof, providers)
+        if p is not None and not forged and alpha_equivalent(p.conclusion, chosen):
+            last = p.steps[-1]
+            wrong = replace(last, conclusion=HornClause(
+                last.conclusion.head, last.conclusion.body + last.conclusion.body[:1]))
+            p = Proof(p.inputs, p.steps[:-1] + (wrong,), p.conclusion)
+            forged.append(p)
+        return p
+
+    monkeypatch.setattr(hornreduce.reduction, "_splice_inputs", forge_once)
+    report = reduce_theory(theory, "standard")
+    assert len(forged) == 1
+    assert list(report.core) == [chosen]
+    assert report.bounds_hit
+    assert all(not alpha_equivalent(c, chosen) for c, _ in report.removed)
+    assert len(report.removed) == len(theory) - 1
+    for _, proof in report.removed:
+        assert replay_proof(proof, report.core)
 
 
 def test_reduce_fragment_smallest_connected_fragment():

@@ -278,6 +278,54 @@ def test_replay_zero_step_proof():
     assert not replay_proof(Proof((c,), (), cl("A(y) :- B(y), C(y).")))
 
 
+# A shared ``_replayed`` record skips recomputing a step object that already
+# replayed; these check that it vouches for nothing else.
+
+@pytest.mark.parametrize("forge", [
+    lambda s: InferenceStep(kind=s.kind, premises=s.premises,
+                            conclusion=cl("P(x) :- S(x), S(x)."),
+                            body_index=s.body_index),
+    lambda s: InferenceStep(kind=s.kind, premises=s.premises,
+                            conclusion=s.conclusion, body_index=1),
+], ids=["wrong-conclusion", "wrong-body-index"])
+def test_replay_record_rejects_forged_step_after_genuine(forge):
+    proof, c1, c2 = make_simple_proof()
+    replayed = {}
+    assert replay_proof(proof, Theory([c1, c2]), _replayed=replayed)
+    assert replayed == {id(proof.steps[0]): proof.steps[0]}
+    forged = forge(proof.steps[0])
+    assert forged != proof.steps[0]
+    bad = Proof(proof.inputs, (forged,), forged.conclusion)
+    assert not replay_proof(bad, Theory([c1, c2]), _replayed=replayed)
+    assert replayed == {id(proof.steps[0]): proof.steps[0]}
+
+
+def test_replay_record_still_checks_premise_availability():
+    proof, c1, c2 = make_simple_proof()
+    replayed = {}
+    assert replay_proof(proof, _replayed=replayed)
+    step = proof.steps[0]
+    assert id(step) in replayed
+    assert not replay_proof(Proof((c1,), (step,), proof.conclusion),
+                            _replayed=replayed)
+    assert not replay_proof(Proof(proof.inputs, (step,), cl("P(x) :- T(x).")),
+                            _replayed=replayed)
+
+
+def test_replay_record_checks_inputs_against_the_theory():
+    proof, c1, c2 = make_simple_proof()
+    theory = Theory([c1, c2])
+    replayed = {}
+    assert replay_proof(proof, theory, _replayed=replayed)
+    # An input alpha-equivalent to a member, not the member object itself.
+    variant = cl("P(y) :- Q(y), R(y).")
+    assert variant != c1 and alpha_equivalent(variant, c1)
+    step = resolve(variant, c2, 0, kind=KIND_SLD)
+    renamed = Proof((variant, c2), (step,), step.conclusion)
+    assert replay_proof(renamed, theory, _replayed=replayed)
+    assert not replay_proof(proof, Theory([c1]), _replayed=replayed)
+
+
 # ---------------------------------------------------------------------------
 # Closure
 # ---------------------------------------------------------------------------
@@ -602,6 +650,39 @@ def test_proof_json_round_trip_with_factoring():
                               mode="standard").proof
     rebuilt = proof_from_json_dict(proof_to_json_dict(proof))
     assert replay_proof(rebuilt, theory=t)
+
+
+def test_proof_json_refs_name_the_first_match():
+    c1 = cl("P(x) :- Q(x), R(x).")
+    c2 = cl("Q(u) :- S(u).")
+    first = resolve(c1, c2, 0, kind=KIND_SLD)
+    again = resolve(c1, c2, 0, kind=KIND_SLD)
+    assert again is not first and again.conclusion == first.conclusion
+    # A premise equal to an input and to an earlier conclusion names the
+    # input, and of two equal inputs the first; two equal earlier
+    # conclusions resolve to the earliest.
+    on_input = resolve(first.conclusion, c2, 0, kind=KIND_SLD)
+    on_step = resolve(again.conclusion, c2, 0, kind=KIND_SLD)
+    proofs = {
+        "input": Proof((c1, c2, first.conclusion, c2), (first, on_input),
+                       on_input.conclusion),
+        "step": Proof((c1, c2), (first, again, on_step), on_step.conclusion),
+    }
+    refs = {name: [s["premises"] for s in proof_to_json_dict(p)["steps"]]
+            for name, p in proofs.items()}
+    assert refs["input"] == [[["input", 0], ["input", 1]],
+                             [["input", 2], ["input", 1]]]
+    assert refs["step"] == [[["input", 0], ["input", 1]],
+                            [["input", 0], ["input", 1]],
+                            [["step", 0], ["input", 1]]]
+    for proof in proofs.values():
+        rebuilt = proof_from_json_dict(proof_to_json_dict(proof))
+        assert rebuilt == proof
+        assert replay_proof(rebuilt, Theory(proof.inputs))
+    # A premise that only a later step concludes has no reference.
+    later = Proof((c1, c2), (on_input, first), first.conclusion)
+    with pytest.raises(ValueError):
+        proof_to_json_dict(later)
 
 
 def tampered_cbase_record(edit):
