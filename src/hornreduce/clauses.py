@@ -5,7 +5,8 @@ Everything here is variable-only: atoms apply a predicate *variable* to term
 (arity-preserving) and term variables to term variables, and unification is
 therefore mere variable identification.  This module provides the clause
 types, substitution calculus, most-general unifier, canonical forms (the
-basis for alpha-equivalence and deduplication), instance matching, pending
+basis for alpha-equivalence and deduplication), instance matching, the
+per-variable literal masks every structural question reads, pending
 variables, and the clause text format.
 """
 
@@ -455,14 +456,31 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
     return None
 
 
+def _literal_masks(c: HornClause) -> tuple[dict[str, int], dict[str, int]]:
+    """Each term variable's literal mask in first-occurrence order, and the
+    mask of the literals holding it twice or more (only for variables some
+    literal repeats): bit ``k`` stands for literal ``k``, head first.
+
+    Every structural question about a clause reads these masks: its graph,
+    connectivity, pending variables, fragment membership and cuts.
+    """
+    masks: dict[str, int] = {}
+    multi: dict[str, int] = {}
+    for k, atom in enumerate(c.literals()):
+        bit = 1 << k
+        for v in atom.args:
+            m = masks.get(v, 0)
+            if m & bit:
+                multi[v] = multi.get(v, 0) | bit
+            masks[v] = m | bit
+    return masks, multi
+
+
 def pending_variables(c: HornClause) -> frozenset[str]:
     """Term variables not occurring in at least two distinct literal
     occurrences of ``c`` (the head counts as a literal)."""
-    count: dict[str, int] = {}
-    for atom in c.literals():
-        for v in set(atom.args):
-            count[v] = count.get(v, 0) + 1
-    return frozenset(v for v, k in count.items() if k < 2)
+    return frozenset(v for v, m in _literal_masks(c)[0].items()
+                     if m.bit_count() < 2)
 
 
 # ---------------------------------------------------------------------------

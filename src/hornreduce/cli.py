@@ -41,7 +41,7 @@ from hornreduce.fragments import (
     horn_2c,
     horn_c,
 )
-from hornreduce.graphs import clause_graph
+from hornreduce.graphs import clause_graph, is_connected
 from hornreduce.reduction import (
     METHOD_FORWARD,
     METHOD_PARTITION,
@@ -260,7 +260,7 @@ def _cmd_graph(ns) -> tuple[int, str, str]:
     if ns.dot:
         return EXIT_OK, _dot_text(clause), ""
     graph = clause_graph(clause)
-    connected = graph.is_connected()
+    connected = is_connected(clause)
     pending = sorted(pending_variables(clause))
     lines = [
         f"clause: {clause}",

@@ -12,12 +12,13 @@ Body sizes run from 1 to ``max_body``; facts are the degenerate fragment
 ``max_body=0``.  Enumeration is up to alpha-equivalence: one canonical
 representative per clause, deterministically ordered.
 
-Connectivity and most-generality are decided on per-variable literal masks
-(bit ``k`` set when literal ``k``, head first, holds the variable) rather
-than on clause graphs and split clauses.  Enumeration keeps those masks
-while it assigns variables to argument positions, decides both tests on
-them, and builds and canonicalizes only the clauses of the assignments that
-pass.
+Connectivity, two-connectedness and most-generality are decided on
+per-variable literal masks (bit ``k`` set when literal ``k``, head first,
+holds the variable) rather than on clause graphs and split clauses.
+Membership reads them from :func:`hornreduce.clauses._literal_masks`.
+Enumeration keeps those masks while it assigns variables to argument
+positions, decides the tests on them, and builds and canonicalizes only the
+clauses of the assignments that pass.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from hornreduce.clauses import (
     Atom,
     HornClause,
     PredVar,
+    _literal_masks,
     _representative,
     canonical_key,
-    pending_variables,
 )
-from hornreduce.graphs import _spans, is_connected
+from hornreduce.graphs import _spans
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,20 +92,6 @@ def _size_ok(spec: FragmentSpec, c: HornClause) -> bool:
     return 1 <= c.body_size <= spec.max_body
 
 
-def _structural_ok(spec: FragmentSpec, c: HornClause) -> bool:
-    if not _size_ok(spec, c):
-        return False
-    if spec.distinct_predvars:
-        preds = [a.pred for a in c.literals()]
-        if len(set(preds)) != len(preds):
-            return False
-    if spec.connected and not is_connected(c):
-        return False
-    if spec.two_connected and pending_variables(c):
-        return False
-    return True
-
-
 def most_general_in(spec: FragmentSpec, c: HornClause) -> bool:
     """True iff no single split of ``c`` is a valid generalizer for
     ``spec``, decided on literal masks without building one (see
@@ -119,22 +106,13 @@ def most_general_in(spec: FragmentSpec, c: HornClause) -> bool:
     """
     if not _size_ok(spec, c):
         return True
-    literals = c.literals()
-    preds = [a.pred for a in literals]
+    preds = [a.pred for a in c.literals()]
     repeats = (sorted(k for k in Counter(preds).values() if k > 1)
                if len(set(preds)) < len(preds) else [])
-    masks: dict[str, int] = {}
-    multi: dict[str, int] = {}
-    for k, atom in enumerate(literals):
-        bit = 1 << k
-        for v in atom.args:
-            m = masks.get(v, 0)
-            if m & bit:
-                multi[v] = multi.get(v, 0) | bit
-            masks[v] = m | bit
+    masks, multi = _literal_masks(c)
     return _most_general(spec, list(masks.values()),
                          [multi.get(v, 0) for v in masks], repeats,
-                         len(literals))
+                         len(preds))
 
 
 def _most_general(spec: FragmentSpec, masks: list[int], multi: list[int],
@@ -188,8 +166,18 @@ def _most_general(spec: FragmentSpec, masks: list[int], multi: list[int],
 
 
 def member(spec: FragmentSpec, c: HornClause) -> bool:
-    """Fragment membership, including the most-generality filter."""
-    if not _structural_ok(spec, c):
+    """Fragment membership, including the most-generality filter.  The
+    structural constraints are decided on one build of the clause's
+    literal masks."""
+    if not _size_ok(spec, c):
+        return False
+    n = len(c.literals())
+    if spec.distinct_predvars and len({a.pred for a in c.literals()}) != n:
+        return False
+    masks = _literal_masks(c)[0].values()
+    if spec.connected and not _spans(masks, n):
+        return False
+    if spec.two_connected and any(m.bit_count() < 2 for m in masks):
         return False
     return not spec.most_general or most_general_in(spec, c)
 

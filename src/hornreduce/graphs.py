@@ -10,6 +10,12 @@ spanning tree such that the tree edges leaving the pair carry at most ``a``
 distinct labels.  Those labels become the arguments of the pivot atom when a
 clause is split into two smaller premises, so the bound is the arity cap of
 the target fragment.
+
+Everything here works on literal masks (bit ``k`` for literal ``k``, head
+first) from :func:`hornreduce.clauses._literal_masks`: the edges are built
+variable by variable from each variable's mask, and connectivity,
+breadth-first trees, spanning-tree enumeration and light-pair adjacency
+read variable or edge masks.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from hornreduce.clauses import HornClause
+from hornreduce.clauses import HornClause, _literal_masks
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,29 +35,21 @@ class LabeledEdge:
     v: int
     var: str
 
-    def other(self, vertex: int) -> int:
-        return self.v if vertex == self.u else self.u
-
 
 class ClauseGraph:
-    """The literal-occurrence multigraph of a clause."""
+    """The literal-occurrence multigraph of a clause, its edges sorted by
+    ``(u, v, var)``."""
 
-    __slots__ = ("clause", "atoms", "edges", "_adj")
+    __slots__ = ("clause", "atoms", "edges")
 
     def __init__(self, clause: HornClause):
         self.clause = clause
         self.atoms = clause.literals()
-        edges: list[LabeledEdge] = []
-        var_sets = [set(a.args) for a in self.atoms]
-        for u, v in itertools.combinations(range(len(self.atoms)), 2):
-            for var in sorted(var_sets[u] & var_sets[v]):
-                edges.append(LabeledEdge(u, v, var))
+        edges = [LabeledEdge(u, v, var)
+                 for var, m in _literal_masks(clause)[0].items()
+                 for u, v in itertools.combinations(_bits(m), 2)]
+        edges.sort(key=lambda e: (e.u, e.v, e.var))
         self.edges: tuple[LabeledEdge, ...] = tuple(edges)
-        adj: dict[int, list[LabeledEdge]] = {i: [] for i in range(len(self.atoms))}
-        for e in edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
-        self._adj = adj
 
     @property
     def vertex_count(self) -> int:
@@ -62,29 +60,23 @@ class ClauseGraph:
         """Index of the first body vertex (1 when the clause has a head)."""
         return 1 if self.clause.head is not None else 0
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return any(e.other(u) == v for e in self._adj[u])
-
-    def is_connected(self) -> bool:
-        return is_connected(self.clause)
-
     def bfs_spanning_tree(self, root: int = 0) -> tuple[LabeledEdge, ...] | None:
-        """A breadth-first spanning tree, or None when the graph is disconnected."""
-        n = len(self.atoms)
-        seen = {root}
+        """A breadth-first spanning tree, or None when the graph is disconnected.
+
+        Each vertex, in the order reached, takes the edges to vertices not
+        yet reached in edge order; each edge is a literal mask.
+        """
+        masks = [1 << e.u | 1 << e.v for e in self.edges]
+        seen = 1 << root
+        order = [root]
         tree: list[LabeledEdge] = []
-        frontier = [root]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for e in self._adj[u]:
-                    w = e.other(u)
-                    if w not in seen:
-                        seen.add(w)
-                        tree.append(e)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != n:
+        for u in order:  # grows as vertices are reached
+            for e, m in zip(self.edges, masks):
+                if m >> u & 1 and m & ~seen:
+                    seen |= m
+                    tree.append(e)
+                    order.append(e.u ^ e.v ^ u)
+        if len(order) != len(self.atoms):
             return None
         return tuple(tree)
 
@@ -125,16 +117,14 @@ def clause_graph(c: HornClause) -> ClauseGraph:
     return ClauseGraph(c)
 
 
-def _literal_masks(c: HornClause) -> dict[str, int]:
-    """Each term variable's literal mask in first-occurrence order: bit ``k``
-    is set when literal ``k`` (head first) holds the variable, however
-    often."""
-    masks: dict[str, int] = {}
-    for k, atom in enumerate(c.literals()):
-        bit = 1 << k
-        for v in atom.args:
-            masks[v] = masks.get(v, 0) | bit
-    return masks
+def _bits(m: int) -> list[int]:
+    """The indices of the set bits of ``m``, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def _reach(masks: Collection[int], start: int) -> int:
@@ -159,7 +149,7 @@ def _spans(masks: Collection[int], n: int) -> bool:
 
 def is_connected(c: HornClause) -> bool:
     """True iff the clause graph is connected (single literals trivially are)."""
-    return _spans(_literal_masks(c).values(),
+    return _spans(_literal_masks(c)[0].values(),
                   c.body_size + (c.head is not None))
 
 
@@ -182,16 +172,17 @@ class LightPair:
 _Ranked = tuple[tuple[int, int, tuple[int, int]], LightPair]
 
 
-def _scan_tree(graph: ClauseGraph, tree: tuple[LabeledEdge, ...], max_labels: int,
-               lo: int) -> _Ranked | None:
+def _scan_tree(tree: tuple[LabeledEdge, ...], max_labels: int, lo: int,
+               n: int, linked: set[int]) -> _Ranked | None:
     """Best qualifying pair for one tree with its rank: adjacent pairs
-    first, then fewer labels, then the lowest vertex pair."""
+    (their literal mask in ``linked``) first, then fewer labels, then the
+    lowest vertex pair."""
     best: _Ranked | None = None
-    for u, v in itertools.combinations(range(lo, graph.vertex_count), 2):
+    for u, v in itertools.combinations(range(lo, n), 2):
         labels = pair_outgoing_labels(tree, u, v)
         if len(labels) > max_labels:
             continue
-        rank = (0 if graph.adjacent(u, v) else 1, len(labels), (u, v))
+        rank = (0 if 1 << u | 1 << v in linked else 1, len(labels), (u, v))
         if best is None or rank < best[0]:
             best = (rank, LightPair(u, v, tree, labels))
     return best
@@ -210,18 +201,19 @@ def find_light_pair(graph: ClauseGraph, max_labels: int) -> LightPair | None:
     lo = graph.body_offset
     if n - lo < 2:
         return None
+    linked = {1 << e.u | 1 << e.v for e in graph.edges}
     found: _Ranked | None = None
     for root in range(n):
         tree = graph.bfs_spanning_tree(root)
         if tree is None:
             return None
-        got = _scan_tree(graph, tree, max_labels, lo)
+        got = _scan_tree(tree, max_labels, lo, n, linked)
         if got is not None and (found is None or got[0] < found[0]):
             found = got
     if found is not None:
         return found[1]
     for tree in graph.all_spanning_trees():
-        got = _scan_tree(graph, tree, max_labels, lo)
+        got = _scan_tree(tree, max_labels, lo, n, linked)
         if got is not None:
             return got[1]
     return None

@@ -35,6 +35,7 @@ from hornreduce.clauses import (
     PredVar,
     Substitution,
     Theory,
+    _literal_masks,
     canonical,
     fresh_names,
     is_instance,
@@ -42,7 +43,7 @@ from hornreduce.clauses import (
     rename_apart,
 )
 from hornreduce.fragments import FragmentSpec, enumerate_fragment, member
-from hornreduce.graphs import _literal_masks, clause_graph, find_light_pair
+from hornreduce.graphs import clause_graph, find_light_pair, is_connected
 from hornreduce.resolution import (
     KIND_RESOLUTION,
     KIND_SLD,
@@ -189,7 +190,7 @@ def _var_masks(c: HornClause) -> _Masks:
     """The masks of ``c``'s term variables in first-occurrence order: bit
     ``k`` is set when body atom ``k`` holds the variable, however often."""
     h = int(c.head is not None)
-    return tuple((v, m >> h, m & h) for v, m in _literal_masks(c).items())
+    return tuple((v, m >> h, m & h) for v, m in _literal_masks(c)[0].items())
 
 
 def _pending(masks: _Masks, am: int, bm: int, cap: int) -> list[str] | None:
@@ -498,9 +499,9 @@ def spanning_tree_split(c: HornClause
     preds = [a.pred for a in c.literals()]
     if len(set(preds)) != len(preds):
         raise ValueError("predicate variables must be distinct")
-    graph = clause_graph(c)
-    if not graph.is_connected():
+    if not is_connected(c):
         raise ValueError("the clause must be connected")
+    graph = clause_graph(c)
     lp = find_light_pair(graph, c.max_arity())
     if lp is None:
         raise RuntimeError("no spanning tree admits a light enough pair")

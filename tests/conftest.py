@@ -11,7 +11,6 @@ from hornreduce.clauses import (
     PredVar,
     fresh_names,
     parse_clause,
-    pending_variables,
 )
 
 
@@ -96,6 +95,16 @@ def oracle_is_connected(c: HornClause) -> bool:
     return len(seen) == len(lits)
 
 
+def oracle_pending_variables(c: HornClause) -> frozenset[str]:
+    """Term variables not occurring in at least two distinct literal
+    occurrences of ``c`` (the head counts as a literal)."""
+    count: dict[str, int] = {}
+    for atom in c.literals():
+        for v in set(atom.args):
+            count[v] = count.get(v, 0) + 1
+    return frozenset(v for v, k in count.items() if k < 2)
+
+
 def oracle_size_ok(spec, c: HornClause) -> bool:
     if c.head is None:
         return False
@@ -111,7 +120,7 @@ def oracle_structural_ok(spec, c: HornClause) -> bool:
     return (oracle_size_ok(spec, c)
             and not (spec.distinct_predvars and len(set(preds)) != len(preds))
             and not (spec.connected and not oracle_is_connected(c))
-            and not (spec.two_connected and pending_variables(c)))
+            and not (spec.two_connected and oracle_pending_variables(c)))
 
 
 def single_splits(c: HornClause) -> Iterator[HornClause]:

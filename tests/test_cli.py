@@ -372,7 +372,11 @@ def test_over_long_clause_is_inconclusive():
 # the sld and standard searches were merged into one: the base, chain,
 # dyadic 3-cycle and triadic clauses under both modes, both methods and the
 # c/2c premise classes, the inconclusive pool cap, the target-directed
-# forward fallback, and extension depths 0-2.  ``reduce_derive_golden.json``
+# forward fallback, and extension depths 0-2; it also holds graph lines,
+# report and --dot, captured before clause-graph edges were built from
+# literal masks: a clause with parallel edges, one whose atoms repeat a
+# variable (one of them pending), a disconnected one, and the base and
+# triadic clauses.  ``reduce_derive_golden.json``
 # holds reduce and derive lines captured before each clause's canonical key
 # got one owner: fragments 2,2,c and 2,3,c in sld mode and 1,4,c in
 # standard mode, the README's three-clause theory in both modes, and derive

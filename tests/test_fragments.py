@@ -38,6 +38,7 @@ from conftest import (
     oracle_canonical_key,
     oracle_is_connected,
     oracle_member,
+    oracle_pending_variables,
     single_splits,
     oracle_most_general_in,
     raw_clauses,
@@ -113,9 +114,9 @@ def oracle_structural_pool(spec):
     """All structurally valid clauses (most-generality not yet applied)."""
     out = {}
     for c in oracle_raw_pool(spec):
-        if spec.connected and not is_connected(c):
+        if spec.connected and not oracle_is_connected(c):
             continue
-        if spec.two_connected and pending_variables(c):
+        if spec.two_connected and oracle_pending_variables(c):
             continue
         key, canon = canonical(c)
         out.setdefault(key, canon)
@@ -354,6 +355,7 @@ def test_every_enumerated_clause_is_member():
 
 def verdicts_match_oracles(spec, c):
     assert is_connected(c) == oracle_is_connected(c), c
+    assert pending_variables(c) == oracle_pending_variables(c), c
     assert most_general_in(spec, c) == oracle_most_general_in(spec, c), (spec, c)
     assert member(spec, c) == oracle_member(spec, c), (spec, c)
 

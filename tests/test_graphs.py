@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 from hornreduce.clauses import Atom, HornClause
+from hornreduce.fragments import enumerate_fragment, horn, horn_2c, horn_c
 from hornreduce.graphs import (
     ClauseGraph,
     LabeledEdge,
@@ -13,6 +14,7 @@ from hornreduce.graphs import (
     is_connected,
     pair_outgoing_labels,
 )
+from hornreduce.reduction import hnr_family
 
 from conftest import c_base, c_triadic, cl
 
@@ -105,16 +107,20 @@ def test_base_clause_graph_shape():
     assert g.vertex_count == 6
     assert len(g.edges) == 12
     # complete graph minus a perfect matching: each literal misses exactly one
-    non_adjacent = {(u, v) for u, v in itertools.combinations(range(6), 2)
-                    if not g.adjacent(u, v)}
+    adjacent = {(e.u, e.v) for e in g.edges}
+    non_adjacent = set(itertools.combinations(range(6), 2)) - adjacent
     assert non_adjacent == {(0, 5), (1, 4), (2, 3)}
     # every adjacent pair shares exactly one variable: no parallel edges
-    assert len({(e.u, e.v) for e in g.edges}) == 12
+    assert len(adjacent) == 12
 
 
 def test_parallel_edges_per_shared_variable():
     g = clause_graph(cl("P(x,y) :- Q(x,y), R(x)."))
     assert sorted((e.u, e.v, e.var) for e in g.edges) == [
+        (0, 1, "x"), (0, 1, "y"), (0, 2, "x"), (1, 2, "x")]
+    # edges come sorted by (u, v, var), not in first-occurrence order
+    g = clause_graph(cl("P(y,x) :- Q(y,x), R(x)."))
+    assert [(e.u, e.v, e.var) for e in g.edges] == [
         (0, 1, "x"), (0, 1, "y"), (0, 2, "x"), (1, 2, "x")]
 
 
@@ -217,9 +223,17 @@ def test_light_pair_star_clause_non_adjacent():
     g = clause_graph(cl("P(x,y,z) :- Q(x), R(y), S(z)."))
     lp = find_light_pair(g, 2)
     assert lp is not None
-    assert not g.adjacent(lp.u, lp.v)
+    assert (lp.u, lp.v) not in {(e.u, e.v) for e in g.edges}
     assert lp.u >= 1 and lp.v >= 1
     assert len(lp.labels) == 2
+
+
+def test_light_pair_prefers_adjacent_pairs():
+    # the lower pair (1, 2) is light too, but its literals share nothing
+    g = clause_graph(cl("P0(a) :- P1(c), P2(d), P3(a,c,d)."))
+    assert (1, 2) in oracle_light_pairs(g, 2)
+    lp = find_light_pair(g, 2)
+    assert (lp.u, lp.v, lp.labels) == (1, 3, frozenset({"a", "d"}))
 
 
 def test_light_pair_base_clause_matches_oracle():
@@ -246,3 +260,26 @@ def test_light_pair_none_when_bound_too_small():
 
 def test_light_pair_too_few_vertices():
     assert find_light_pair(clause_graph(cl("P(x) :- Q(x).")), 2) is None
+
+
+def test_edges_bfs_trees_and_light_pairs_are_pinned():
+    # spanning_tree_split pivots on find_light_pair's answer, so its pair,
+    # tree and labels are behaviour, as are the edge order and BFS trees
+    # it scans.  Labels are sorted: a frozenset's repr follows the hash seed.
+    corpus = [c for spec in (horn_c(2, 3), horn(2, 3), horn_2c(2, 4),
+                             horn_c(3, 2)) for c in enumerate_fragment(spec)]
+    corpus += [*hnr_family(1), c_base(), c_triadic()]
+    assert len(corpus) == 1736
+    digest = hashlib.sha256()
+    for c in corpus:
+        g = clause_graph(c)
+        digest.update(repr(g.edges).encode())
+        for root in range(g.vertex_count):
+            digest.update(repr(g.bfs_spanning_tree(root)).encode())
+        for cap in (1, 2, 3):
+            lp = find_light_pair(g, cap)
+            key = None if lp is None else (lp.u, lp.v, lp.tree,
+                                           sorted(lp.labels))
+            digest.update(repr(key).encode())
+    assert digest.hexdigest() == (
+        "dd77b4a13e88649fb481d58f865360d51f9444091b50ba14ec770e21019afc67")
