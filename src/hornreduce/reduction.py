@@ -52,6 +52,7 @@ from hornreduce.resolution import (
     InferenceStep,
     Proof,
     _arity_surplus,
+    _check_bounds,
     _resolutions,
     factor,
     replay_proof,
@@ -603,7 +604,9 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     the bounds.  Removal proofs are recomposed to replay from the core
     alone; a clause whose proof cannot be recomposed is reinstated (which
     never happens for the searches used here, but keeps the report sound).
+    A negative bound is a ValueError.
     """
+    _check_bounds(max_depth, max_body, max_clauses)
     t = theory if isinstance(theory, Theory) else Theory(theory)
     bounds = {"max_depth": max_depth, "max_body": max_body,
               "max_clauses": max_clauses}
@@ -641,6 +644,7 @@ def reduce_fragment(fragment: FragmentSpec, mode: str = "sld", *,
                     max_depth: int = 1, max_body: int | None = None,
                     max_clauses: int | None = None) -> ReductionReport:
     """Reduce the full enumeration of a finite fragment."""
+    _check_bounds(max_depth, max_body, max_clauses)  # before enumerating
     return reduce_theory(enumerate_fragment(fragment), mode,
                          max_depth=max_depth, max_body=max_body,
                          max_clauses=max_clauses)

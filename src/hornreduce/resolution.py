@@ -299,6 +299,15 @@ class ClosureResult:
         return canonical_key(c) in self._reps
 
 
+def _check_bounds(max_depth: int, max_body: int | None,
+                  max_clauses: int | None) -> None:
+    """ValueError when a search bound is negative."""
+    for name, value in (("max_depth", max_depth), ("max_body", max_body),
+                        ("max_clauses", max_clauses)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must not be negative")
+
+
 def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
             mode: str = "sld", max_body: int | None = None,
             max_clauses: int | None = None,
@@ -329,8 +338,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if max_depth < 0:
-        raise ValueError("max_depth must not be negative")
+    _check_bounds(max_depth, max_body, max_clauses)
     if not isinstance(theory, Theory):
         theory = Theory(theory)
 
@@ -518,12 +526,15 @@ def _shape(c: HornClause) -> tuple:
             tuple(sorted(a.pred.arity for a in c.body)))
 
 
-def _instance_axiom_proof(theory: Theory, target: HornClause,
+def _instance_axiom_proof(theory: Theory, index: dict, target: HornClause,
                           goal: tuple) -> Proof | None:
+    """A proof of ``target`` as a member or an instance of one.  Only the
+    target's shape bucket of ``index`` can hold such a member, and the
+    bucket keeps theory order."""
     m = theory.get(goal)
     if m is not None:
         return Proof((m,), (), target)
-    for m in theory:
+    for m in index.get(_shape(target), ()):
         step = unify_onto(m, target)
         if step is not None:
             return Proof((m,), (step,), target)
@@ -590,22 +601,114 @@ def single_step_candidates(target: HornClause, max_arity: int,
                        len(b1))
 
 
-def _inverse_single_step(theory: Theory, target: HornClause, goal: tuple,
+def _pivot_patterns(d: HornClause, head: Atom | None, columns: dict,
+                    k: int, in_body: bool) -> list[tuple[tuple, tuple]]:
+    """What the arguments of a pivot of arity ``k`` must satisfy for a
+    premise to be an instance of ``d``: on side 1 the premise has head
+    ``head`` and the pivot in its body, on side 2 the pivot as head.
+    ``columns`` maps (arity, position) to the arguments there among the
+    premise's other body atoms.
+
+    One pattern per literal ``a`` of ``d`` that can map onto the pivot: a
+    body atom of arity ``k`` on side 1, ``d``'s head on side 2.  The
+    pivot's predicate is fresh, so ``a``'s predicate must occur once in
+    ``d``.  Every variable of ``d``'s other literals maps into its domain:
+    the intersection, over its occurrences, of the column at the same
+    arity and position (the head maps onto ``head``).  A pattern is
+    ``(bound, ties)``: ``bound`` pairs each position of ``a`` holding such
+    a variable with its domain, and ``ties`` pairs each later position of
+    a variable ``a`` repeats with its first.  An empty domain rules ``a``
+    out; a variable only ``a`` holds may map anywhere.
+    """
+    preds = [lit.pred for lit in d.literals()]
+    if in_body:
+        roles = [i for i, a in enumerate(d.body)
+                 if a.pred.arity == k and preds.count(a.pred) == 1]
+    else:
+        roles = [-1] if preds.count(d.head.pred) == 1 else []
+    empty: frozenset = frozenset()
+    images = [[(v, columns.get((len(lit.args), p), empty))
+               for p, v in enumerate(lit.args)] for lit in d.body]
+    if in_body and head is not None:
+        images.append([(v, {w}) for v, w in zip(d.head.args, head.args)])
+    patterns = []
+    for role in roles:
+        domains: dict = {}
+        for i, occurrences in enumerate(images):
+            if i != role:
+                for v, image in occurrences:
+                    domains[v] = domains[v] & image if v in domains else image
+        if not all(domains.values()):
+            continue
+        bound, ties, first = [], [], {}
+        for p, v in enumerate(d.body[role].args if in_body else d.head.args):
+            if v in first:
+                ties.append((first[v], p))
+            else:
+                first[v] = p
+                if v in domains:
+                    bound.append((p, domains[v]))
+        patterns.append((tuple(bound), tuple(ties)))
+    return patterns
+
+
+def _instances_among(c: HornClause, in_body: bool, index: dict,
+                     table: dict) -> list[HornClause]:
+    """The members of ``c``'s shape bucket in ``index`` that ``c`` is an
+    instance of, in bucket order.  ``c`` is a premise of a
+    :func:`single_step_candidates` pair, its pivot the last body atom
+    (side 1, ``in_body``) or the head (side 2).
+
+    ``table`` holds one search's :func:`_pivot_patterns` per member and
+    (side, other body atoms, pivot arity), built on first use; the side-1
+    head is the search's target head throughout.  Admitting the pivot's
+    arguments is necessary for ``is_instance``, so only members that admit
+    them are matched, and the list is the one matching every member gives.
+    """
+    pivot, fixed = (c.body[-1], c.body[:-1]) if in_body else (c.head, c.body)
+    k = pivot.pred.arity
+    entries = table.get((in_body, fixed, k))
+    if entries is None:
+        columns: dict = {}
+        for f in fixed:
+            for p, v in enumerate(f.args):
+                columns.setdefault((len(f.args), p), set()).add(v)
+        entries = table[in_body, fixed, k] = [
+            (d, pats) for d in index.get(_shape(c), ())
+            if (pats := _pivot_patterns(d, c.head, columns, k, in_body))]
+    args = pivot.args
+    return [d for d, patterns in entries
+            if any(all(args[p] in dom for p, dom in bound)
+                   and all(args[p] == args[q] for p, q in ties)
+                   for bound, ties in patterns)
+            and is_instance(c, d) is not None]
+
+
+def _inverse_single_step(index: dict, target: HornClause, goal: tuple,
                          mode: str) -> Proof | None:
     """Complete search for derivations with exactly one resolution step
-    onto ``target``, whose canonical key is ``goal``."""
-    max_arity = max((c.max_arity() for c in theory), default=0)
-    if max_arity == 0:
+    onto ``target``, whose canonical key is ``goal``, from the members
+    ``index`` holds by shape.
+
+    Each premise of a candidate pair is matched only against the members
+    of its shape whose pivot domains (:func:`_pivot_patterns`) admit its
+    pivot.  Every member the premise is an instance of admits it, so the
+    domains are a necessary condition and ``is_instance`` still decides:
+    ``firsts`` and ``seconds`` are the lists matching every same-shape
+    member gives, in theory order, so the pairs tried, the first hit and
+    its proof are unchanged.
+    """
+    # the largest arity of a member's head or body atom
+    max_arity = max(max((s[1], *s[3])) for s in index)
+    if max_arity < 1:
         return None
-    index = _theory_shape_index(theory)
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
+    table: dict = {}
     for c1, c2, _ in single_step_candidates(target, max_arity, index):
-        firsts = [d for d in index.get(_shape(c1), ())
-                  if is_instance(c1, d) is not None]
+        firsts = _instances_among(c1, True, index, table)
         if not firsts:
             continue
-        seconds = [d for d in index.get(_shape(c2), ())
-                   if is_instance(c2, d) is not None]
+        seconds = _instances_among(c2, False, index, table)
         for d1 in firsts:
             for d2 in seconds:
                 for step in resolvents(d1, d2, kind=kind):
@@ -628,21 +731,28 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
     unification), so with ``max_depth=1`` a miss means no one-step
     derivation exists — though deeper ones might, hence ``truncated``.
     Depths beyond 1 saturate forward level by level under the given bounds.
+    Both early stages read one index of the members by shape; the
+    one-step stage matches a candidate premise only against members whose
+    pivot domains admit it, which every instance does, so it finds the
+    proof that matching all same-shape members finds.  A negative bound is
+    a ValueError.
 
     In ``standard`` mode the single-step search does not interleave
     factoring; derivations that need it are found by the forward levels.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    _check_bounds(max_depth, max_body, max_clauses)
     if not isinstance(theory, Theory):
         theory = Theory(theory)
     if len(theory) == 0:
         return SearchResult(None, truncated=False)
 
     goal = canonical_key(target)
-    proof = _instance_axiom_proof(theory, target, goal)
+    index = _theory_shape_index(theory)
+    proof = _instance_axiom_proof(theory, index, target, goal)
     if proof is None and max_depth >= 1:
-        proof = _inverse_single_step(theory, target, goal, mode)
+        proof = _inverse_single_step(index, target, goal, mode)
     if proof is not None:
         return SearchResult(proof, truncated=False)
     needs_closure = max_depth >= 2 or (mode == "standard" and max_depth >= 1)

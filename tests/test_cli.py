@@ -181,6 +181,39 @@ def test_reduce_theory_with_long_symmetric_lines(tmp_path, monkeypatch, n):
             for r in payload["removed"]] == [n]
 
 
+def test_reduce_theory_symmetric_line_beside_its_prefix(tmp_path):
+    # A symmetric line of n atoms, its n-1 prefix and a two-atom clause.
+    # A failing match against a long line backtracks over every order of
+    # its interchangeable atoms, so matching every same-shape member made
+    # this run factorial in n; pivot domains leave only the premises whose
+    # pivot is P(x,y).  n = 10 is pinned byte for byte in
+    # reduce_derive_golden.json.
+    n = 24
+    line = [", ".join(f"P{i}(x,y)" for i in range(1, m + 1))
+            for m in (n, n - 1)]
+    path = tmp_path / "prefix.thy"
+    path.write_text(f"P0(x,y) :- {line[0]}.\nP0(x,y) :- {line[1]}.\n"
+                    "S(x,y) :- P1(x,y), P2(x,y).\n", encoding="utf-8")
+    code, out, _ = run(["reduce", "--theory", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert [parse_clause(c).body_size for c in payload["core"]] == [2, n - 1]
+    assert [parse_clause(r["clause"]).body_size
+            for r in payload["removed"]] == [n]
+
+
+def test_reduce_matches_only_premises_whose_pivot_domains_fit(monkeypatch):
+    # A count, not a time: matching every same-shape member of each
+    # candidate premise made 3,338 calls here.
+    calls = []
+    match = hornreduce.resolution.is_instance
+    monkeypatch.setattr(hornreduce.resolution, "is_instance",
+                        lambda c, d: calls.append(1) or match(c, d))
+    code, _, _ = run(["reduce", "--fragment", "2,2,c"])
+    assert code == 0
+    assert len(calls) <= 560  # 546
+
+
 def test_reduce_stdout_is_deterministic():
     first = run(["reduce", "--fragment", "1,3,c"])
     second = run(["reduce", "--fragment", "1,3,c"])
@@ -388,7 +421,10 @@ def test_over_long_clause_is_inconclusive():
 # goal is not-derivable there: the core's first closure level is never
 # empty); and reduce lines captured before removal proofs shared one
 # record of replayed steps: fragments 3,1,2c and 2,2,2c, whose spliced
-# proofs are the longest, and 2,2,c in standard mode.  A case with a ``theory`` runs with the text written to a file
+# proofs are the longest, and 2,2,c in standard mode; and reduce lines
+# captured before the inverse search filtered members by pivot domains:
+# a symmetric 10-atom line beside its 9-atom prefix and a two-atom
+# clause, in both modes.  A case with a ``theory`` runs with the text written to a file
 # whose path replaces the argv token ``THEORY``.
 GOLDEN = [case for name in ("cli_golden.json", "reduce_derive_golden.json")
           for case in json.loads((Path(__file__).parent / "data" / name)

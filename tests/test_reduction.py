@@ -678,6 +678,16 @@ def test_reduce_theory_reinstates_a_clause_whose_proof_fails(monkeypatch):
         assert replay_proof(proof, report.core)
 
 
+@pytest.mark.parametrize("bound", ["max_depth", "max_body", "max_clauses"])
+def test_reduce_rejects_negative_bounds(bound):
+    # before, a negative depth removed nothing and reported no error
+    theory = [cl("P0(x) :- P1(x)."), cl("P0(x) :- P1(x), P2(x).")]
+    with pytest.raises(ValueError, match=f"{bound} must not be negative"):
+        reduce_theory(theory, **{bound: -1})
+    with pytest.raises(ValueError, match=f"{bound} must not be negative"):
+        reduce_fragment(horn_c(1, 3), **{bound: -1})
+
+
 def test_reduce_fragment_smallest_connected_fragment():
     report = reduce_fragment(horn_c(1, 3))
     assert len(report.core) == 2

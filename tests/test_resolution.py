@@ -41,6 +41,7 @@ from hornreduce.resolution import (
     search_derivation,
     single_step_candidates,
     unify_onto,
+    _instances_among,
     _resolve_renamed,
     _shape,
     _theory_shape_index,
@@ -426,6 +427,9 @@ def test_closure_validates_arguments():
     t = Theory([cl("P(x,y) :- Q(x,y)."), cl("P(x) :- Q(x), R(x).")])
     with pytest.raises(ValueError):
         closure(t, -1, max_body=3)
+    for bound in ("max_body", "max_clauses"):
+        with pytest.raises(ValueError, match=f"{bound} must not be negative"):
+            closure(t, 1, **{bound: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +585,17 @@ def test_derive_corpus_is_frozen(case, corpus_c24):
     assert digest.hexdigest() == case["sha256"]
 
 
+@pytest.mark.parametrize("bound", ["max_depth", "max_body", "max_clauses"])
+def test_search_derivation_rejects_negative_bounds(bound):
+    # before, a negative depth answered "truncated" without searching
+    bounds = {"max_depth": 1, bound: -1}
+    with pytest.raises(ValueError, match=f"{bound} must not be negative"):
+        search_derivation(chain_theory(), chain3(), bounds.pop("max_depth"),
+                          **bounds)
+    with pytest.raises(ValueError, match=f"{bound} must not be negative"):
+        search_derivation([], chain3(), **{bound: -1})
+
+
 def test_single_step_candidates_resolve_back():
     rng = random.Random(31)
     target = cl("P(x,y) :- Q(x,z), R(z,y), S(x).")
@@ -625,6 +640,40 @@ def test_shape_restricted_candidates_filter_the_full_stream(corpus_c23, data):
 
     assert text(single_step_candidates(target, max_arity, index)) == text(
         p for p in full if _shape(p[0]) in index and _shape(p[1]) in index)
+
+
+def premises_over(variables: str, max_body: int):
+    """Clauses of arity at most 3 over ``variables`` whose atoms name
+    predicate ``P`` or ``R`` suffixed with the arity, so a predicate may
+    repeat or occur once; half of them are headless."""
+    atom = st.tuples(st.sampled_from("PR"),
+                     st.lists(st.sampled_from(variables), max_size=3)).map(
+        lambda t: Atom.of(f"{t[0]}{len(t[1])}", *t[1]))
+    return st.builds(lambda head, body: HornClause(head, tuple(body)),
+                     st.none() | atom, st.lists(atom, max_size=max_body))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pivot_domains_keep_every_match(data):
+    # Matching only the members whose pivot domains admit a premise's
+    # pivot finds, in bucket order, the members matching all of them
+    # finds, on both sides of every pair of the stream.  The members mix
+    # random clauses with the premises of stream pairs, so that many
+    # premises have matches.
+    target = data.draw(premises_over("xyz", 5))
+    max_arity = data.draw(st.integers(1, 3))
+    full = list(single_step_candidates(target, max_arity))
+    members = data.draw(st.lists(premises_over("xyzu", 4), max_size=4))
+    for _ in range(data.draw(st.integers(0, 3)) if full else 0):
+        members += data.draw(st.sampled_from(full))[:2]
+    index = _theory_shape_index(Theory(members))
+    table: dict = {}
+    for c1, c2, _ in single_step_candidates(target, max_arity, index):
+        for c, in_body in ((c1, True), (c2, False)):
+            brute = [d for d in index[_shape(c)]
+                     if is_instance(c, d) is not None]
+            assert _instances_among(c, in_body, index, table) == brute
 
 
 # ---------------------------------------------------------------------------
