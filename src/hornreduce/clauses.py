@@ -269,32 +269,51 @@ def _atom_key(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> tup
     return tuple(key)
 
 
-def _assign(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> list:
-    # Commit an atom's variables to the maps; return an undo list.
-    undo: list = []
+def _assign(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> None:
+    # Commit an atom's new variables to the maps.
     if atom.pred not in pidx:
         pidx[atom.pred] = len(pidx)
-        undo.append(atom.pred)
     for v in atom.args:
         if v not in tidx:
             tidx[v] = len(tidx) + 1  # term indices are 1-based (x1, x2, ...)
-            undo.append(v)
-    return undo
+
+
+def _rollback(preds: dict, terms: dict, np: int, nt: int) -> None:
+    # Drop the bindings made since the maps held np and nt entries: dicts
+    # keep insertion order, so popitem() removes exactly the newest.
+    while len(preds) > np:
+        preds.popitem()
+    while len(terms) > nt:
+        terms.popitem()
+
+
+def _orbits(c: HornClause) -> list[tuple]:
+    """One label per body atom of ``c``; atoms with equal labels are
+    interchangeable.
+
+    This is the one interchangeability rule of both body-atom searches:
+    equal atoms, or equal arguments under predicates used once in the
+    clause (head included).  Swapping two such atoms, with their
+    predicates, is an automorphism of ``c``, so a search needs to branch
+    on one atom per orbit only.  Labels are plain tuples, ``(False,
+    args)`` or ``(pred name, args)``; a name has one arity per clause.
+    """
+    uses = Counter(a.pred.name for a in c.literals())
+    return [(False, a.args) if uses[a.pred.name] == 1 else (a.pred.name, a.args)
+            for a in c.body]
 
 
 def _canonical_serialization(c: HornClause) -> tuple:
     """The canonical key of ``c``: head presence plus the minimal
     serialization over body orderings.
 
-    Ties are branched on, except between interchangeable body atoms: equal
-    atoms, and atoms with equal arguments whose predicates occur nowhere
-    else in the clause.  Swapping those is an automorphism of the clause,
-    so one branch per orbit finds the same minimum.
+    Ties are branched on once per orbit of :func:`_orbits`: an automorphism
+    maps one orbit-mate's branch onto the other's, so both find the same
+    minimum.  A branch is undone by rolling the maps back to their sizes.
     """
     body = c.body
     n = len(body)
-    uses = Counter(a.pred for a in c.literals())
-    orbit = [a.args if uses[a.pred] == 1 else a for a in body]
+    orbit = _orbits(c)
     pidx: dict[PredVar, int] = {}
     tidx: dict[str, int] = {}
     acc: list[tuple[int, ...]] = []
@@ -321,6 +340,7 @@ def _canonical_serialization(c: HornClause) -> tuple:
         # Lexicographic pruning against the best complete serialization found.
         if best is not None and acc == list(best[:pos]) and mkey > best[pos]:
             return
+        np, nt = len(pidx), len(tidx)
         taken: set = set()
         for k, i in candidates:
             if k != mkey or orbit[i] in taken:
@@ -328,13 +348,9 @@ def _canonical_serialization(c: HornClause) -> tuple:
             taken.add(orbit[i])
             used[i] = True
             acc.append(k)
-            undo = _assign(body[i], pidx, tidx)
+            _assign(body[i], pidx, tidx)
             rec()
-            for entry in undo:
-                if isinstance(entry, PredVar):
-                    del pidx[entry]
-                else:
-                    del tidx[entry]
+            _rollback(pidx, tidx, np, nt)
             acc.pop()
             used[i] = False
 
@@ -385,7 +401,15 @@ def alpha_equivalent(c: HornClause, d: HornClause) -> bool:
 
 def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
     """A substitution sigma with ``apply_substitution(d, sigma) == c`` as head
-    plus body multiset, or None.  sigma need not be injective."""
+    plus body multiset, or None.  sigma need not be injective.
+
+    Depth first: ``d``'s body atoms in order, each against ``c``'s unused
+    atoms in order, so the first substitution found is fixed by the inputs.
+    Once a candidate's subtree fails, its orbit-mates under :func:`_orbits`
+    of ``c`` are skipped at that level: an automorphism of ``c`` maps one
+    mate onto the other, so they would fail too.  The labels are built on
+    the first failed subtree, so a match that never backtracks pays nothing.
+    """
     if (c.head is None) != (d.head is None):
         return None
     if len(c.body) != len(d.body):
@@ -395,64 +419,45 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
     pm: dict[PredVar, PredVar] = {}
     tm: dict[str, str] = {}
 
-    def unmatch(undo: list) -> None:
-        for entry in undo:
-            if isinstance(entry, PredVar):
-                del pm[entry]
-            else:
-                del tm[entry]
-
-    def match(da: Atom, ca: Atom) -> list | None:
-        if da.pred.arity != ca.pred.arity:
-            return None
-        undo: list = []
-        bound = pm.get(da.pred)
-        if bound is None:
-            pm[da.pred] = ca.pred
-            undo.append(da.pred)
-        elif bound != ca.pred:
-            return None
+    def match(da: Atom, ca: Atom) -> bool:
+        # Extend pm and tm so that da maps onto ca; on False the caller
+        # rolls back what was bound.
+        if da.pred.arity != ca.pred.arity or pm.setdefault(da.pred, ca.pred) != ca.pred:
+            return False
         for x, y in zip(da.args, ca.args):
-            t = tm.get(x)
-            if t is None:
-                tm[x] = y
-                undo.append(x)
-            elif t != y:
-                unmatch(undo)
-                return None
-        return undo
+            if tm.setdefault(x, y) != y:
+                return False
+        return True
 
-    head_undo: list = []
-    if c.head is not None:
-        assert d.head is not None
-        got = match(d.head, c.head)
-        if got is None:
-            return None
-        head_undo = got
-
+    if c.head is not None and not match(d.head, c.head):
+        return None
     n = len(c.body)
     used = [False] * n
+    orbit: list[tuple] | None = None
 
     def assign(i: int) -> bool:
+        nonlocal orbit
         if i == n:
             return True
         da = d.body[i]
+        np, nt = len(pm), len(tm)
+        failed: set = set()
         for j in range(n):
-            if used[j]:
+            if used[j] or (failed and orbit[j] in failed):
                 continue
-            undo = match(da, c.body[j])
-            if undo is None:
-                continue
-            used[j] = True
-            if assign(i + 1):
-                return True
-            used[j] = False
-            unmatch(undo)
+            if match(da, c.body[j]):
+                used[j] = True
+                if assign(i + 1):
+                    return True
+                used[j] = False
+                if orbit is None:
+                    orbit = _orbits(c)
+                failed.add(orbit[j])
+            _rollback(pm, tm, np, nt)
         return False
 
     if assign(0):
         return Substitution(dict(pm), dict(tm))
-    unmatch(head_undo)
     return None
 
 

@@ -283,6 +283,12 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
         return
     mem = replace(fragment, most_general=False, distinct_predvars=False)
     masks = _var_masks(c)
+    # Without overlap, a variable in one literal stays in one literal of one
+    # premise: it never crosses the cut, so no pivot carries it, and neither
+    # premise is two-connected.  No cut can yield; do not walk them.
+    if (fragment.two_connected and overlap_cap == 0
+            and any(m.bit_count() + h < 2 for _, m, h in masks)):
+        return
     full = (1 << b) - 1
     pivot_name = next(fresh_names("Q", {p.name for p in c.pred_vars()}))
     positions = tuple(range(b))

@@ -9,6 +9,7 @@ from hornreduce.clauses import (
     Atom,
     HornClause,
     PredVar,
+    Substitution,
     fresh_names,
     parse_clause,
 )
@@ -55,6 +56,27 @@ def oracle_canonical_serialization(c: HornClause):
 
 def oracle_canonical_key(c: HornClause):
     return (c.head is not None, oracle_canonical_serialization(c))
+
+
+def oracle_is_instance(c: HornClause, d: HornClause):
+    """The first substitution sending ``d`` onto ``c``, by brute force: try
+    the permutations of ``c``'s body positions in lexicographic order, pair
+    ``d``'s atoms with them in order, and accept the first pairing whose
+    variable pairs form a function.  Depth-first matching finds the same
+    first hit."""
+    if (c.head is None) != (d.head is None) or len(c.body) != len(d.body):
+        return None
+    heads = [(d.head, c.head)] if c.head is not None else []
+    for perm in itertools.permutations(range(len(c.body))):
+        pairs = heads + [(d.body[i], c.body[j]) for i, j in enumerate(perm)]
+        if any(da.pred.arity != ca.pred.arity for da, ca in pairs):
+            continue
+        preds = {(da.pred, ca.pred) for da, ca in pairs}
+        terms = {xy for da, ca in pairs for xy in zip(da.args, ca.args)}
+        if (len(dict(preds)) == len(preds)
+                and len(dict(terms)) == len(terms)):
+            return Substitution(dict(preds), dict(terms))
+    return None
 
 
 def oracle_cut_pending(c: HornClause, body_indices):

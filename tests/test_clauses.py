@@ -4,6 +4,7 @@ instance matching, pending variables, parsing."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hornreduce.clauses
 from hornreduce.clauses import (
@@ -27,7 +28,13 @@ from hornreduce.clauses import (
     rename_apart,
 )
 
-from conftest import c_base, c_triadic, cl, oracle_canonical_key
+from conftest import (
+    c_base,
+    c_triadic,
+    cl,
+    oracle_canonical_key,
+    oracle_is_instance,
+)
 
 
 def random_clause(rng: random.Random, max_arity=3, max_body=5) -> HornClause:
@@ -331,6 +338,73 @@ def test_instance_of_generalization_everywhere():
         s = Substitution({}, {"a": "b", "c": "d"})
         inst = apply_substitution(c, s)
         assert is_instance(inst, c) is not None
+
+
+@st.composite
+def match_clauses(draw) -> HornClause:
+    """A clause of arity at most 3 and at most six body atoms, half of them
+    headless: random atoms whose predicate ``P`` or ``R`` is suffixed with
+    the arity, so predicates and arguments repeat; or a symmetric line
+    ``L1(args), ..., Ln(args)``, its last atom sometimes ``M`` with the
+    arguments reversed."""
+    head = draw(st.booleans())
+    if draw(st.booleans()):
+        atom = st.tuples(st.sampled_from("PR"), st.lists(
+            st.sampled_from("xyzu"), min_size=1, max_size=3)).map(
+            lambda t: Atom.of(f"{t[0]}{len(t[1])}", *t[1]))
+        return HornClause(draw(atom) if head else None,
+                          tuple(draw(st.lists(atom, max_size=6))))
+    args = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3))
+    body = [Atom.of(f"L{k}", *args) for k in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        body[-1] = Atom.of("M", *reversed(args))
+    return HornClause(Atom.of("H", *args) if head else None, tuple(body))
+
+
+@st.composite
+def random_instance(draw, d: HornClause) -> HornClause:
+    """``d`` under a random substitution, body shuffled: the predicates of
+    each arity merge or stay apart, the terms map into a small pool."""
+    preds = {p: PredVar(draw(st.sampled_from("ABP")) + str(p.arity), p.arity)
+             for p in d.pred_vars()}
+    terms = {v: draw(st.sampled_from("xyzab")) for v in d.term_vars()}
+    c = apply_substitution(d, Substitution(preds, terms))
+    return HornClause(c.head, tuple(draw(st.permutations(c.body))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_is_instance_finds_the_oracle_substitution(data):
+    # The same first substitution as trying c's body orders one by one,
+    # not just the same verdict, so skipping orbit-mates moves no hit.
+    d = data.draw(match_clauses())
+    c = data.draw(random_instance(d) if data.draw(st.booleans())
+                  else match_clauses())
+    assert is_instance(c, d) == oracle_is_instance(c, d)
+    assert is_instance(d, c) == oracle_is_instance(d, c)
+    assert canonical_key(c) == oracle_canonical_key(c)
+
+
+@pytest.mark.parametrize("last, found", [("M24(y,x)", False),
+                                         ("M24(x,z)", True)])
+def test_symmetric_match_skips_orbit_mates(monkeypatch, last, found):
+    # Failing against 24 interchangeable atoms once tried every order of
+    # them; skipping the orbit-mates of a failed candidate leaves one
+    # failed subtree per level.  A count, not a time.
+    calls = []
+    rollback = hornreduce.clauses._rollback
+    monkeypatch.setattr(hornreduce.clauses, "_rollback",
+                        lambda *a: calls.append(1) or rollback(*a))
+    line = [f"L{k}(x,y)" for k in range(1, 25)]
+    c = cl(f"H(x,y) :- {', '.join(line)}.")
+    d = cl(f"H(x,y) :- {', '.join(line[:-1] + [last])}.")
+    sigma = is_instance(c, d)
+    if found:
+        assert sigma == Substitution({PredVar("M24", 2): PredVar("L24", 2)},
+                                     {"z": "y"})
+    else:
+        assert sigma is None
+    assert len(calls) <= 25  # 24 when failing, 0 when found
 
 
 # ---------------------------------------------------------------------------

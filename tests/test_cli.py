@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hornreduce.clauses
+import hornreduce.reduction
 import hornreduce.resolution
 from hornreduce.clauses import Theory, alpha_equivalent, canonical_key, parse_clause
 from hornreduce.fragments import enumerate_fragment, horn_2c
@@ -380,6 +381,22 @@ def test_extend_validates_flags():
     assert code == 64 and "share" in err
     code, _, _ = run(["extend", "--clause", clause, "--depth", "-1"])
     assert code == 64
+
+
+def test_open_chain_is_irreducible_without_walking_cuts(monkeypatch):
+    # x999 sits in one literal, so with no overlap no cut can give two
+    # two-connected premises; walking the 2^n cuts never ended at n = 1,000.
+    n = 1000
+    clause = "P0(x0) :- " + ", ".join(
+        f"P{i}(x{i - 1},x{i})" for i in range(1, n)) + "."
+    calls = []
+    pending = hornreduce.reduction._pending
+    monkeypatch.setattr(hornreduce.reduction, "_pending",
+                        lambda *a: calls.append(1) or pending(*a))
+    code, out, _ = run(["check", "--clause", clause])
+    assert code == 0
+    assert json.loads(out)["result"] == "irreducible"
+    assert calls == []
 
 
 def test_over_long_clause_is_inconclusive():
