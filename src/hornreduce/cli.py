@@ -80,8 +80,64 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(payload) -> str:
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
+    writes it, plus a newline, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder;
+    this writes the same layout in one pass.  It accepts dicts with str
+    keys, lists, tuples (as arrays), str, int, bool and None; anything
+    else, floats and sets included, is a TypeError.
+    """
+    out: list[str] = []
+    append = out.append
+    encode = json.encoder.encode_basestring_ascii
+
+    def emit(obj, indent: str) -> None:
+        if isinstance(obj, str):
+            append(encode(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key in sorted(obj):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON key {key!r} is not a str")
+                append(sep)
+                append(encode(key))
+                append(": ")
+                emit(obj[key], inner)
+                sep = comma
+            append(indent)
+            append("}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                append("[]")
+                return
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in obj:
+                append(sep)
+                emit(item, inner)
+                sep = comma
+            append(indent)
+            append("]")
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        else:
+            raise TypeError(f"{type(obj).__name__} is not written as JSON")
+
+    emit(payload, "\n")
+    append("\n")
+    return "".join(out)
 
 
 def _read_theory_file(path: str) -> Theory:

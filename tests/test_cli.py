@@ -5,13 +5,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hornreduce.cli
 import hornreduce.clauses
 import hornreduce.reduction
 import hornreduce.resolution
 from hornreduce.clauses import Theory, alpha_equivalent, canonical_key, parse_clause
 from hornreduce.fragments import enumerate_fragment, horn_2c
-from hornreduce.cli import run
+from hornreduce.cli import _json_text, run
 from hornreduce.reduction import c_base, hnr_family
 from hornreduce.resolution import proof_from_json_dict, replay_proof
 
@@ -448,10 +450,7 @@ GOLDEN = [case for name in ("cli_golden.json", "reduce_derive_golden.json")
                                  .read_text(encoding="utf-8"))]
 
 
-@pytest.mark.parametrize("case", GOLDEN,
-                         ids=[f"{i:02d}-{c['argv'][0]}"
-                              for i, c in enumerate(GOLDEN)])
-def test_check_and_extend_stdout_is_frozen(case, tmp_path):
+def assert_golden(case, tmp_path):
     argv = case["argv"]
     if "theory" in case:
         path = tmp_path / "theory.thy"
@@ -463,6 +462,82 @@ def test_check_and_extend_stdout_is_frozen(case, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
     else:
         assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{i:02d}-{c['argv'][0]}"
+                              for i, c in enumerate(GOLDEN)])
+def test_check_and_extend_stdout_is_frozen(case, tmp_path):
+    assert_golden(case, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# JSON stdout
+# ---------------------------------------------------------------------------
+
+def _dumps_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_SPECIAL_CHARS = st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600')
+_JSON_STRINGS = st.lists(
+    st.one_of(st.characters(), _SPECIAL_CHARS,
+              st.integers(0xD800, 0xDFFF).map(chr)),  # lone surrogates
+    max_size=6).map("".join)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+    _JSON_STRINGS, st.sampled_from([{}, [], ()]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=_JSON_VALUES)
+def test_json_text_writes_the_bytes_of_json_dumps(obj):
+    assert _json_text(obj) == _dumps_text(obj)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, {1: "a"}, object(),
+                                 {"a": [0, (None, 2.0)]}],
+                         ids=["float", "set", "int-key", "object", "nested"])
+def test_json_text_accepts_only_the_payload_types(obj):
+    # json.dumps would write a float, and an int key as a string; the CLI's
+    # payloads hold neither, so the emitter refuses them.
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+_BASE = str(c_base())
+_NO_DUMPS_ARGV = [
+    ["reduce", "--fragment", "2,2,c"],
+    ["check", "--clause", _BASE, "--mode", "sld", "--method", "partition",
+     "--fragment-class", "c"],
+    ["check", "--clause", _BASE, "--mode", "standard", "--method",
+     "partition", "--fragment-class", "c"],
+    ["derive", "--theory", "THEORY", "--goal", "P0(z) :- P1(z), P2(z), P3(z)."],
+]
+NO_DUMPS_CASES = [case for case in GOLDEN if case["argv"] in _NO_DUMPS_ARGV]
+
+
+def test_json_stdout_does_not_use_json_dumps(tmp_path, monkeypatch):
+    # With json.dumps refusing, every JSON verb still prints its old bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("stdout went through json.dumps")
+    monkeypatch.setattr(hornreduce.cli.json, "dumps", refuse)
+    assert len(NO_DUMPS_CASES) == len(_NO_DUMPS_ARGV)
+    for case in NO_DUMPS_CASES:
+        assert_golden(case, tmp_path)
+    code, out, _ = run(["enumerate", "--arity", "2", "--body", "2",
+                        "--connected", "--json"])
+    monkeypatch.undo()
+    assert code == 0
+    assert out == _dumps_text(json.loads(out))
 
 
 # ---------------------------------------------------------------------------

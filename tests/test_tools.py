@@ -1,0 +1,56 @@
+"""The repository's helper scripts under ``tools/``."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+_spec = importlib.util.spec_from_file_location(
+    "code_lines", TOOLS / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+SAMPLE = '''"""Module docstring,
+on two lines."""
+
+# a comment-only line
+
+import os  # a trailing comment does not hide the code
+"a bare string statement"
+
+
+def f(x):
+    """Docstring."""
+    y = (x +
+         1)
+    s = """a
+b"""
+    return "t".join([y, s])
+'''
+
+
+def test_code_lines_counts_only_lines_holding_code(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE, encoding="utf-8")
+    # import, def, both lines of y, both lines of s, return.
+    assert code_lines.code_lines(path) == 7
+
+
+def test_code_lines_totals_a_directory(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SAMPLE, encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert code_lines.main([str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["7", "1", "8"]
+    assert rows[-1].split()[1] == "total"
+
+
+def test_code_lines_without_arguments_exits_64():
+    proc = subprocess.run([sys.executable, str(TOOLS / "code_lines.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert "Usage" in proc.stderr
