@@ -241,8 +241,6 @@ def _pivot_arg_sets(masks: _Masks, am: int, bm: int, fragment: FragmentSpec,
     connected premises (each then sits in two literals per side, as
     2-connected premises need), else the first variable side 2 holds.
     """
-    if arity_cap < 1:
-        return []
     if not exhaustive:
         required = _pending(masks, am, bm, arity_cap)
         if required is None:

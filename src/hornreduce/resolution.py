@@ -30,6 +30,7 @@ from hornreduce.clauses import (
     Substitution,
     Theory,
     alpha_equivalent,
+    _orbits,
     _representative,
     apply_substitution,
     canonical_key,
@@ -335,6 +336,15 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     proof and, on a miss, ``truncated`` are unchanged; only clauses that
     could never hit are missing.  Under ``max_clauses`` the full level
     runs, since skipping would move the point where the cap bites.
+
+    Without ``max_clauses``, factoring tries one body pair per pair of
+    :func:`~hornreduce.clauses._orbits` labels of a clause.  Orbit-mates
+    are swapped by an automorphism, so a skipped pair's factor has the key
+    of the first pair with its labels: ``admit`` would find that key
+    admitted, or drop it over ``max_body`` and set ``truncated`` as the
+    first pair did.  Clauses, their order, provenance and ``truncated``
+    are unchanged.  Under a cap every attempt can set ``truncated``, so
+    every pair is factored there.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -425,7 +435,15 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
                 if target_hit is not None:
                     break
                 c = reps[k]
-                for i, j in itertools.combinations(range(len(c.body)), 2):
+                n = len(c.body)
+                # with fewer than three atoms no pair can repeat a label pair
+                orbit = _orbits(c) if n > 2 else range(n)
+                tried: set = set()
+                for i, j in itertools.combinations(range(n), 2):
+                    pair = (orbit[i], orbit[j])
+                    if pair in tried and max_clauses is None:
+                        continue
+                    tried.add(pair)
                     step = factor(c, i, j)
                     if step is not None:
                         admit(step.conclusion,
@@ -602,30 +620,26 @@ def single_step_candidates(target: HornClause, max_arity: int,
 
 
 def _pivot_patterns(d: HornClause, head: Atom | None, columns: dict,
-                    k: int, in_body: bool) -> list[tuple[tuple, tuple]]:
+                    k: int, in_body: bool) -> list[tuple]:
     """What the arguments of a pivot of arity ``k`` must satisfy for a
     premise to be an instance of ``d``: on side 1 the premise has head
     ``head`` and the pivot in its body, on side 2 the pivot as head.
     ``columns`` maps (arity, position) to the arguments there among the
     premise's other body atoms.
 
-    One pattern per literal ``a`` of ``d`` that can map onto the pivot: a
-    body atom of arity ``k`` on side 1, ``d``'s head on side 2.  The
-    pivot's predicate is fresh, so ``a``'s predicate must occur once in
-    ``d``.  Every variable of ``d``'s other literals maps into its domain:
-    the intersection, over its occurrences, of the column at the same
-    arity and position (the head maps onto ``head``).  A pattern is
-    ``(bound, ties)``: ``bound`` pairs each position of ``a`` holding such
-    a variable with its domain, and ``ties`` pairs each later position of
-    a variable ``a`` repeats with its first.  An empty domain rules ``a``
-    out; a variable only ``a`` holds may map anywhere.
+    One pattern per literal ``a`` of ``d`` that can map onto the pivot: any
+    body atom of arity ``k`` on side 1, ``d``'s head on side 2.  Every
+    variable of ``d``'s other literals maps into its domain: the
+    intersection, over its occurrences, of the column at the same arity
+    and position (the head maps onto ``head``).  A pattern pairs every
+    position of ``a`` holding such a variable with its domain, so a
+    repeated variable is checked at each of its positions.  An empty
+    domain rules ``a`` out; a variable only ``a`` holds may map anywhere.
+    That is the one rule: no ties between positions and no count of
+    ``a``'s predicate, which ``is_instance`` decides.
     """
-    preds = [lit.pred for lit in d.literals()]
-    if in_body:
-        roles = [i for i, a in enumerate(d.body)
-                 if a.pred.arity == k and preds.count(a.pred) == 1]
-    else:
-        roles = [-1] if preds.count(d.head.pred) == 1 else []
+    roles = ([i for i, a in enumerate(d.body) if a.pred.arity == k]
+             if in_body else [-1])
     empty: frozenset = frozenset()
     images = [[(v, columns.get((len(lit.args), p), empty))
                for p, v in enumerate(lit.args)] for lit in d.body]
@@ -638,17 +652,10 @@ def _pivot_patterns(d: HornClause, head: Atom | None, columns: dict,
             if i != role:
                 for v, image in occurrences:
                     domains[v] = domains[v] & image if v in domains else image
-        if not all(domains.values()):
-            continue
-        bound, ties, first = [], [], {}
-        for p, v in enumerate(d.body[role].args if in_body else d.head.args):
-            if v in first:
-                ties.append((first[v], p))
-            else:
-                first[v] = p
-                if v in domains:
-                    bound.append((p, domains[v]))
-        patterns.append((tuple(bound), tuple(ties)))
+        if all(domains.values()):
+            args = d.body[role].args if in_body else d.head.args
+            patterns.append(tuple((p, domains[v]) for p, v in enumerate(args)
+                                  if v in domains))
     return patterns
 
 
@@ -661,9 +668,11 @@ def _instances_among(c: HornClause, in_body: bool, index: dict,
 
     ``table`` holds one search's :func:`_pivot_patterns` per member and
     (side, other body atoms, pivot arity), built on first use; the side-1
-    head is the search's target head throughout.  Admitting the pivot's
-    arguments is necessary for ``is_instance``, so only members that admit
-    them are matched, and the list is the one matching every member gives.
+    head is the search's target head throughout.  A member admits the
+    pivot when some pattern's domains hold every argument at its
+    positions; that is necessary for ``is_instance``, so only members that
+    admit it are matched, and the list is the one matching every member
+    gives.
     """
     pivot, fixed = (c.body[-1], c.body[:-1]) if in_body else (c.head, c.body)
     k = pivot.pred.arity
@@ -679,8 +688,7 @@ def _instances_among(c: HornClause, in_body: bool, index: dict,
     args = pivot.args
     return [d for d, patterns in entries
             if any(all(args[p] in dom for p, dom in bound)
-                   and all(args[p] == args[q] for p, q in ties)
-                   for bound, ties in patterns)
+                   for bound in patterns)
             and is_instance(c, d) is not None]
 
 
@@ -700,8 +708,6 @@ def _inverse_single_step(index: dict, target: HornClause, goal: tuple,
     """
     # the largest arity of a member's head or body atom
     max_arity = max(max((s[1], *s[3])) for s in index)
-    if max_arity < 1:
-        return None
     kind = KIND_SLD if mode == "sld" else KIND_RESOLUTION
     table: dict = {}
     for c1, c2, _ in single_step_candidates(target, max_arity, index):

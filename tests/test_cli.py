@@ -184,19 +184,23 @@ def test_reduce_theory_with_long_symmetric_lines(tmp_path, monkeypatch, n):
             for r in payload["removed"]] == [n]
 
 
-def test_reduce_theory_symmetric_line_beside_its_prefix(tmp_path):
+def prefix_theory(n: int) -> str:
     # A symmetric line of n atoms, its n-1 prefix and a two-atom clause.
+    line = [", ".join(f"P{i}(x,y)" for i in range(1, m + 1))
+            for m in (n, n - 1)]
+    return (f"P0(x,y) :- {line[0]}.\nP0(x,y) :- {line[1]}.\n"
+            "S(x,y) :- P1(x,y), P2(x,y).\n")
+
+
+def test_reduce_theory_symmetric_line_beside_its_prefix(tmp_path):
     # A failing match against a long line backtracks over every order of
     # its interchangeable atoms, so matching every same-shape member made
     # this run factorial in n; pivot domains leave only the premises whose
     # pivot is P(x,y).  n = 10 is pinned byte for byte in
     # reduce_derive_golden.json.
     n = 24
-    line = [", ".join(f"P{i}(x,y)" for i in range(1, m + 1))
-            for m in (n, n - 1)]
     path = tmp_path / "prefix.thy"
-    path.write_text(f"P0(x,y) :- {line[0]}.\nP0(x,y) :- {line[1]}.\n"
-                    "S(x,y) :- P1(x,y), P2(x,y).\n", encoding="utf-8")
+    path.write_text(prefix_theory(n), encoding="utf-8")
     code, out, _ = run(["reduce", "--theory", str(path)])
     assert code == 0
     payload = json.loads(out)
@@ -205,16 +209,48 @@ def test_reduce_theory_symmetric_line_beside_its_prefix(tmp_path):
             for r in payload["removed"]] == [n]
 
 
-def test_reduce_matches_only_premises_whose_pivot_domains_fit(monkeypatch):
+# stdout sha256 of ``reduce --theory --mode standard`` on the prefix theory
+# at n = 24, captured while closure factored every body pair (14,649
+# ``factor`` calls, 19.7 s).
+PREFIX_24_STANDARD_SHA256 = \
+    "6ef8c3c87e576cb66b472fe3d60eb061bab13fbc86349c129b9c6ffa2066b6fb"
+
+
+def test_reduce_standard_factors_one_pair_per_orbit_pair(tmp_path,
+                                                         monkeypatch):
+    # Each symmetric line's C(n, 2) factors are one clause up to renaming.
+    path = tmp_path / "prefix.thy"
+    path.write_text(prefix_theory(24), encoding="utf-8")
+    calls = []
+    factor = hornreduce.resolution.factor
+    monkeypatch.setattr(hornreduce.resolution, "factor",
+                        lambda *a: calls.append(1) or factor(*a))
+    code, out, _ = run(["reduce", "--theory", str(path),
+                        "--mode", "standard"])
+    assert code == 0
+    assert len(calls) <= 100  # 85
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PREFIX_24_STANDARD_SHA256
+
+
+@pytest.mark.parametrize("fragment, bound", [
+    ("2,2,c", 560),  # 546
+    ("3,1,2c", 320),  # 310
+    ("2,2,2c", 280),  # 270
+], ids=["2,2,c", "3,1,2c", "2,2,2c"])
+def test_reduce_matches_only_premises_whose_pivot_domains_fit(
+        monkeypatch, fragment, bound):
     # A count, not a time: matching every same-shape member of each
-    # candidate premise made 3,338 calls here.
+    # candidate premise made 3,338 calls on 2,2,c, and binding only the
+    # first position of a repeated variable 327 on 3,1,2c and 283 on
+    # 2,2,2c.
     calls = []
     match = hornreduce.resolution.is_instance
     monkeypatch.setattr(hornreduce.resolution, "is_instance",
                         lambda c, d: calls.append(1) or match(c, d))
-    code, _, _ = run(["reduce", "--fragment", "2,2,c"])
+    code, _, _ = run(["reduce", "--fragment", fragment])
     assert code == 0
-    assert len(calls) <= 560  # 546
+    assert len(calls) <= bound
 
 
 def test_reduce_stdout_is_deterministic():

@@ -388,6 +388,31 @@ def test_closure_standard_mode_factors():
     assert factored not in closure(Theory([d]), 1, mode="sld")
 
 
+def symmetric_theories():
+    """Up to three clauses whose atoms mostly share their arguments, so
+    bodies hold orbit-mates: equal atoms, or equal arguments under
+    predicates used once."""
+    atom = st.tuples(st.sampled_from("PQRS"),
+                     st.lists(st.sampled_from("xy"), min_size=1,
+                              max_size=2)).map(
+        lambda t: Atom.of(f"{t[0]}{len(t[1])}", *t[1]))
+    clause = st.builds(lambda head, body: HornClause(head, tuple(body)),
+                       atom, st.lists(atom, max_size=3))
+    return st.lists(clause, min_size=1, max_size=3).map(Theory)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t=symmetric_theories(), max_body=st.none() | st.integers(1, 4))
+def test_orbit_pruned_factoring_matches_the_full_loop(t, max_body):
+    # A cap no run reaches still factors every body pair.
+    pruned = closure(t, 2, mode="standard", max_body=max_body)
+    full = closure(t, 2, mode="standard", max_body=max_body,
+                   max_clauses=10**9)
+    assert pruned.clauses == full.clauses
+    assert pruned.truncated == full.truncated
+    assert list(pruned._prov.items()) == list(full._prov.items())
+
+
 def test_closure_renames_each_premise_once(monkeypatch):
     # one rename per member of the 4-clause horn_c(2,3) core, where
     # renaming per resolved pair took 74

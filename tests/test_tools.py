@@ -54,3 +54,28 @@ def test_code_lines_without_arguments_exits_64():
     assert proc.returncode == 64
     assert proc.stdout == ""
     assert "Usage" in proc.stderr
+
+
+def test_code_lines_against_a_commit(tmp_path, monkeypatch, capsys):
+    # A temporary repository: pkg/a.py grows by a line after the commit,
+    # pkg/b.py is deleted and pkg/c.py is new.
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(SAMPLE, encoding="utf-8")
+    (pkg / "b.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    monkeypatch.chdir(tmp_path)
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "pkg"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    (pkg / "a.py").write_text(SAMPLE + "z = 3\n", encoding="utf-8")
+    (pkg / "b.py").unlink()
+    (pkg / "c.py").write_text("w = 4\n", encoding="utf-8")
+    assert code_lines.main(["--against", "HEAD", "pkg"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()]
+    assert rows == [["7", "8", "+1", "pkg/a.py"],
+                    ["2", "0", "-2", "pkg/b.py"],
+                    ["0", "1", "+1", "pkg/c.py"],
+                    ["9", "9", "+0", "total"]]
+    assert code_lines.main(["--against", "no-such-ref", "pkg"]) == 1
+    assert code_lines.main(["--against", "HEAD"]) == 64

@@ -5,12 +5,19 @@ lines, comment-only lines and docstrings (a string that is a statement of
 its own) do not count.  Usage::
 
     python3 tools/code_lines.py src/hornreduce [more files or directories]
+    python3 tools/code_lines.py --against REF src/hornreduce
 
-prints one ``<lines>  <path>`` row per module, then the total.
+The first form prints one ``<lines>  <path>`` row per module, then the
+total.  The second, run inside a git checkout, prints ``<before> <after>
+<delta>  <path>`` rows, reading the modules under the same paths at commit
+``REF`` through ``git show``; a module missing on one side counts 0.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -21,11 +28,10 @@ _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                     tokenize.ENCODING}
 
 
-def code_lines(path: Path) -> int:
-    """The number of lines of ``path`` that hold code."""
-    with path.open("rb") as f:
-        tokens = [t for t in tokenize.tokenize(f.readline)
-                  if t.type not in (tokenize.NL, tokenize.COMMENT)]
+def source_lines(source: bytes) -> int:
+    """The number of lines of ``source`` that hold code."""
+    tokens = [t for t in tokenize.tokenize(io.BytesIO(source).readline)
+              if t.type not in (tokenize.NL, tokenize.COMMENT)]
     lines: set[int] = set()
     for k, tok in enumerate(tokens):
         if tok.type in _LAYOUT:
@@ -38,6 +44,11 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
+def code_lines(path: Path) -> int:
+    """The number of lines of ``path`` that hold code."""
+    return source_lines(path.read_bytes())
+
+
 def modules(args: list[str]) -> list[Path]:
     out: list[Path] = []
     for arg in args:
@@ -46,16 +57,48 @@ def modules(args: list[str]) -> list[Path]:
     return out
 
 
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], capture_output=True,
+                          check=True).stdout
+
+
+def counts_at(ref: str, args: list[str]) -> dict[str, int]:
+    """Code lines per module under ``args`` at commit ``ref``, keyed by
+    path relative to the working directory."""
+    out: dict[str, int] = {}
+    for arg in args:
+        listing = _git("ls-tree", "-r", "-z", "--name-only", ref, "--",
+                       os.path.relpath(arg))
+        for name in listing.decode().split("\0"):
+            if name.endswith(".py"):
+                out[name] = source_lines(_git("show", f"{ref}:./{name}"))
+    return out
+
+
 def main(argv: list[str]) -> int:
+    ref = None
+    if argv[:1] == ["--against"]:
+        ref, argv = (argv[1] if len(argv) > 1 else None), argv[2:]
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 64
-    total = 0
-    for path in modules(argv):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path}")
-    print(f"{total:6d}  total")
+    after = {str(p) if ref is None else os.path.relpath(p): code_lines(p)
+             for p in modules(argv)}
+    if ref is None:
+        for path, n in after.items():
+            print(f"{n:6d}  {path}")
+        print(f"{sum(after.values()):6d}  total")
+        return 0
+    try:
+        before = counts_at(ref, argv)
+    except subprocess.CalledProcessError as e:
+        print(e.stderr.decode().strip(), file=sys.stderr)
+        return 1
+    for path in sorted(before.keys() | after.keys()):
+        b, a = before.get(path, 0), after.get(path, 0)
+        print(f"{b:6d} {a:6d} {a - b:+6d}  {path}")
+    b, a = sum(before.values()), sum(after.values())
+    print(f"{b:6d} {a:6d} {a - b:+6d}  total")
     return 0
 
 
