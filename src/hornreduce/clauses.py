@@ -248,34 +248,20 @@ def mgu(a: Atom, b: Atom) -> Substitution | None:
 # Canonical forms
 # ---------------------------------------------------------------------------
 
-def _atom_key(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> tuple[int, ...]:
-    # Tentative serialization key: new variables get the next indices without
-    # mutating the maps (repeats within the atom stay consistent).
-    p = pidx.get(atom.pred)
-    if p is None:
-        p = len(pidx)
-    key = [p]
+def _atom_key(name: str, args: tuple[str, ...], pidx: dict[str, int],
+             tidx: dict[str, int]) -> tuple[int, ...]:
+    # Tentative serialization key of the atom name(args): new variables get
+    # the next indices without mutating the maps (repeats within the atom
+    # stay consistent).
     fresh: dict[str, int] = {}
     nxt = len(tidx) + 1  # term indices are 1-based
-    for v in atom.args:
+    key = [pidx.get(name, len(pidx))]
+    for v in args:
         t = tidx.get(v)
         if t is None:
-            t = fresh.get(v)
-            if t is None:
-                t = nxt
-                fresh[v] = nxt
-                nxt += 1
+            t = fresh.setdefault(v, nxt + len(fresh))
         key.append(t)
     return tuple(key)
-
-
-def _assign(atom: Atom, pidx: dict[PredVar, int], tidx: dict[str, int]) -> None:
-    # Commit an atom's new variables to the maps.
-    if atom.pred not in pidx:
-        pidx[atom.pred] = len(pidx)
-    for v in atom.args:
-        if v not in tidx:
-            tidx[v] = len(tidx) + 1  # term indices are 1-based (x1, x2, ...)
 
 
 def _rollback(preds: dict, terms: dict, np: int, nt: int) -> None:
@@ -307,66 +293,85 @@ def _canonical_serialization(c: HornClause) -> tuple:
     """The canonical key of ``c``: head presence plus the minimal
     serialization over body orderings.
 
-    Ties are branched on once per orbit of :func:`_orbits`: an automorphism
-    maps one orbit-mate's branch onto the other's, so both find the same
-    minimum.  A branch is undone by rolling the maps back to their sizes.
+    A depth-first search over body orderings on an explicit stack: each
+    level keys every unused atom with :func:`_atom_key`, prunes against the
+    least complete serialization found when its least key cannot match it,
+    and takes the atoms of least key.  The maps are keyed by predicate
+    name (a name has one arity per clause) and a level is undone by
+    rolling them back to their sizes.  Tied atoms are branched on once per
+    orbit of :func:`_orbits`: an automorphism maps one orbit-mate's branch
+    onto the other's, so both find the same minimum.  Only a level whose
+    least key ties atoms of different orbits pushes a stack entry, and the
+    labels are built at the first tie, so a clause whose levels never tie
+    does not build them.
     """
-    body = c.body
-    n = len(body)
-    orbit = _orbits(c)
-    pidx: dict[PredVar, int] = {}
+    pidx: dict[str, int] = {}
     tidx: dict[str, int] = {}
     acc: list[tuple[int, ...]] = []
-    if c.head is not None:
-        acc.append(_atom_key(c.head, pidx, tidx))
-        _assign(c.head, pidx, tidx)
-    full = len(acc) + n
+    head = c.head
+    if head is not None:
+        acc.append(_atom_key(head.pred.name, head.args, pidx, tidx))
+        pidx[head.pred.name] = 0
+        for v in head.args:
+            if v not in tidx:
+                tidx[v] = len(tidx) + 1  # term indices are 1-based (x1, ...)
+    # the body atoms not yet taken, in body order, with their body indices
+    rest = [(a.pred.name, a.args, j) for j, a in enumerate(c.body)]
     best: tuple | None = None  # the least complete serialization found
-    used = [False] * n
-
-    def rec() -> None:
-        nonlocal best
-        pos = len(acc)
-        if pos == full:
-            cand = tuple(acc)
-            if best is None or cand < best:
-                best = cand
-            return
-        candidates: list[tuple[tuple[int, ...], int]] = []
-        for i in range(n):
-            if not used[i]:
-                candidates.append((_atom_key(body[i], pidx, tidx), i))
-        mkey = min(k for k, _ in candidates)
-        # Lexicographic pruning against the best complete serialization found.
-        if best is not None and acc == list(best[:pos]) and mkey > best[pos]:
-            return
-        np, nt = len(pidx), len(tidx)
-        taken: set = set()
-        for k, i in candidates:
-            if k != mkey or orbit[i] in taken:
-                continue
-            taken.add(orbit[i])
-            used[i] = True
-            acc.append(k)
-            _assign(body[i], pidx, tidx)
-            rec()
+    orbit: list[tuple] | None = None
+    # one entry per level with atoms of different orbits tied: its depth,
+    # its untaken atoms, the positions among them it still branches on,
+    # its least key and the map sizes to roll back to
+    stack: list[tuple] = []
+    while True:
+        p = -1  # the position in rest of the atom to take next
+        if rest:
+            keys = [_atom_key(name, args, pidx, tidx) for name, args, _ in rest]
+            mkey = min(keys)
+            pos = len(acc)
+            # Lexicographic pruning against the best complete serialization.
+            if best is None or mkey <= best[pos] or tuple(acc) != best[:pos]:
+                p = keys.index(mkey)
+                if keys.count(mkey) > 1:
+                    if orbit is None:
+                        orbit = _orbits(c)
+                    taken: set = set()
+                    ties = []
+                    for q, k in enumerate(keys):
+                        if k == mkey and orbit[rest[q][2]] not in taken:
+                            taken.add(orbit[rest[q][2]])
+                            ties.append(q)
+                    if len(ties) > 1:
+                        stack.append((pos, rest[:], ties[:0:-1], mkey,
+                                      len(pidx), len(tidx)))
+        elif best is None or tuple(acc) < best:
+            best = tuple(acc)
+        if p < 0:  # backtrack to the deepest level with a branch left
+            while stack and not stack[-1][2]:
+                stack.pop()
+            if not stack:
+                break
+            pos, saved, ties, mkey, np, nt = stack[-1]
+            rest = saved[:]
+            del acc[pos:]
             _rollback(pidx, tidx, np, nt)
-            acc.pop()
-            used[i] = False
-
-    if n:
-        rec()
-    else:
-        best = tuple(acc)
+            p = ties.pop()
+        name, args, _ = rest.pop(p)
+        acc.append(mkey)
+        if name not in pidx:
+            pidx[name] = len(pidx)
+        for v in args:
+            if v not in tidx:
+                tidx[v] = len(tidx) + 1
     assert best is not None
-    return c.head is not None, best
+    return head is not None, best
 
 
 def _representative(key: tuple) -> HornClause:
     # The clause a canonical key spells: atom (p, t1, ..., tk) is
     # P<p>(x<t1>, ..., x<tk>), head first when the key's flag says so.
     has_head, atoms = key
-    lits = [Atom(PredVar(f"P{a[0]}", len(a) - 1), tuple(f"x{t}" for t in a[1:]))
+    lits = [Atom(PredVar(f"P{a[0]}", len(a) - 1), tuple([f"x{t}" for t in a[1:]]))
             for a in atoms]
     return HornClause(lits[0] if has_head else None, tuple(lits[has_head:]))
 
@@ -409,6 +414,8 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
     of ``c`` are skipped at that level: an automorphism of ``c`` maps one
     mate onto the other, so they would fail too.  The labels are built on
     the first failed subtree, so a match that never backtracks pays nothing.
+    The search runs on an explicit stack, one entry per matched atom, so
+    its depth is not bounded by the recursion limit.
     """
     if (c.head is None) != (d.head is None):
         return None
@@ -431,34 +438,42 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
 
     if c.head is not None and not match(d.head, c.head):
         return None
-    n = len(c.body)
+    cb, db = c.body, d.body
+    n = len(cb)
     used = [False] * n
     orbit: list[tuple] | None = None
-
-    def assign(i: int) -> bool:
-        nonlocal orbit
-        if i == n:
-            return True
-        da = d.body[i]
-        np, nt = len(pm), len(tm)
-        failed: set = set()
-        for j in range(n):
-            if used[j] or (failed and orbit[j] in failed):
-                continue
-            if match(da, c.body[j]):
-                used[j] = True
-                if assign(i + 1):
-                    return True
-                used[j] = False
-                if orbit is None:
-                    orbit = _orbits(c)
-                failed.add(orbit[j])
-            _rollback(pm, tm, np, nt)
-        return False
-
-    if assign(0):
-        return Substitution(dict(pm), dict(tm))
-    return None
+    # one entry per matched level below the current one: the atom of c it
+    # took and the map sizes and failed orbits of that level
+    stack: list[tuple] = []
+    i = j = 0  # the atom of d to match next, the first candidate left
+    np, nt, failed = len(pm), len(tm), set()
+    while i < n:
+        da = db[i]
+        while j < n:
+            if not used[j] and not (failed and orbit[j] in failed):
+                if match(da, cb[j]):
+                    break
+                _rollback(pm, tm, np, nt)
+            j += 1
+        if j < n:
+            used[j] = True
+            stack.append((j, np, nt, failed))
+            i, j = i + 1, 0
+            np, nt, failed = len(pm), len(tm), set()
+            continue
+        if not stack:
+            return None
+        # level i ran out of candidates, so level i - 1's candidate j
+        # failed: try its next candidate that is not an orbit-mate of j
+        j, np, nt, failed = stack.pop()
+        i -= 1
+        used[j] = False
+        if orbit is None:
+            orbit = _orbits(c)
+        failed.add(orbit[j])
+        _rollback(pm, tm, np, nt)
+        j += 1
+    return Substitution(dict(pm), dict(tm))
 
 
 def _literal_masks(c: HornClause) -> tuple[dict[str, int], dict[str, int]]:

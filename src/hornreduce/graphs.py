@@ -176,13 +176,25 @@ def _scan_tree(tree: tuple[LabeledEdge, ...], max_labels: int, lo: int,
                n: int, linked: set[int]) -> _Ranked | None:
     """Best qualifying pair for one tree with its rank: adjacent pairs
     (their literal mask in ``linked``) first, then fewer labels, then the
-    lowest vertex pair."""
+    lowest vertex pair.
+
+    A pair's outgoing edges are the tree edges at exactly one of its
+    vertices: the bits of ``inc[u] ^ inc[v]``, where ``inc[w]`` holds bit
+    ``k`` when tree edge ``k`` has an end at ``w``.
+    """
+    inc = [0] * n
+    for k, e in enumerate(tree):
+        inc[e.u] |= 1 << k
+        inc[e.v] |= 1 << k
     best: _Ranked | None = None
     for u, v in itertools.combinations(range(lo, n), 2):
-        labels = pair_outgoing_labels(tree, u, v)
+        apart = 0 if 1 << u | 1 << v in linked else 1
+        if best is not None and apart > best[0][0]:
+            continue  # ranks below the best pair whatever its labels
+        labels = frozenset([tree[k].var for k in _bits(inc[u] ^ inc[v])])
         if len(labels) > max_labels:
             continue
-        rank = (0 if 1 << u | 1 << v in linked else 1, len(labels), (u, v))
+        rank = (apart, len(labels), (u, v))
         if best is None or rank < best[0]:
             best = (rank, LightPair(u, v, tree, labels))
     return best

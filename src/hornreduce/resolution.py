@@ -337,14 +337,16 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     could never hit are missing.  Under ``max_clauses`` the full level
     runs, since skipping would move the point where the cap bites.
 
-    Without ``max_clauses``, factoring tries one body pair per pair of
+    Factoring tries one body pair per pair of
     :func:`~hornreduce.clauses._orbits` labels of a clause.  Orbit-mates
     are swapped by an automorphism, so a skipped pair's factor has the key
     of the first pair with its labels: ``admit`` would find that key
-    admitted, or drop it over ``max_body`` and set ``truncated`` as the
-    first pair did.  Clauses, their order, provenance and ``truncated``
-    are unchanged.  Under a cap every attempt can set ``truncated``, so
-    every pair is factored there.
+    admitted, or drop it over ``max_body`` or the cap and set
+    ``truncated`` as the first pair did.  Clauses, their order, provenance
+    and ``truncated`` are unchanged.  Under ``max_clauses`` a duplicate
+    whose key is admitted would still set ``truncated`` had the cap been
+    reached since the first pair, so a pair is skipped only while
+    ``truncated`` is already set or the cap is not reached.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -441,7 +443,8 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
                 tried: set = set()
                 for i, j in itertools.combinations(range(n), 2):
                     pair = (orbit[i], orbit[j])
-                    if pair in tried and max_clauses is None:
+                    if pair in tried and (max_clauses is None or truncated
+                                          or len(reps) < max_clauses):
                         continue
                     tried.add(pair)
                     step = factor(c, i, j)

@@ -407,6 +407,47 @@ def test_symmetric_match_skips_orbit_mates(monkeypatch, last, found):
     assert len(calls) <= 25  # 24 when failing, 0 when found
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c=match_clauses())
+def test_canonical_key_matches_the_oracle_on_repeats_and_lines(c):
+    # Repeated names and atoms, headless clauses, symmetric lines.
+    assert canonical_key(c) == oracle_canonical_key(c)
+
+
+def test_tie_free_clause_builds_no_orbits(monkeypatch):
+    # Orbit labels are built at the first tie; no level of c ties.
+    calls = []
+    orbits = hornreduce.clauses._orbits
+    monkeypatch.setattr(hornreduce.clauses, "_orbits",
+                        lambda c: calls.append(c) or orbits(c))
+    c = cl("P0(x,y) :- P1(x,z), P2(z,y), P3(y,u), P4(u,x).")
+    assert canonical_key(c) == oracle_canonical_key(c)
+    assert calls == []
+    canonical_key(symmetric_body(3))
+    assert len(calls) == 1
+
+
+def open_chain(n: int) -> HornClause:
+    """``P0(x0) :- P1(x0,x1), ..., P{n-1}(x{n-2},x{n-1}).``"""
+    return cl("P0(x0) :- " + ", ".join(f"P{i}(x{i - 1},x{i})"
+                                       for i in range(1, n)) + ".")
+
+
+def test_thousand_atom_chain_keys_like_its_renamed_shuffle():
+    # No Python frame per body atom: a clause of 999 body atoms is keyed.
+    c = open_chain(1000)
+    body = list(c.body)
+    random.Random(37).shuffle(body)
+    ren = Substitution(
+        {p: PredVar(f"R{i}", p.arity) for i, p in enumerate(c.pred_vars())},
+        {v: f"t{i}" for i, v in enumerate(c.term_vars())})
+    d = apply_substitution(HornClause(c.head, tuple(body)), ren)
+    key = canonical_key(d)
+    assert key == canonical_key(c)
+    assert key == (True, ((0, 1),) + tuple((i, i, i + 1)
+                                           for i in range(1, 1000)))
+
+
 # ---------------------------------------------------------------------------
 # Pending variables
 # ---------------------------------------------------------------------------

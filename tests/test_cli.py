@@ -233,6 +233,31 @@ def test_reduce_standard_factors_one_pair_per_orbit_pair(tmp_path,
         PREFIX_24_STANDARD_SHA256
 
 
+# stdout sha256 of ``reduce --theory --mode standard --max-clauses 1000000``
+# on the prefix theory at n = 14, captured while a cap turned orbit pruning
+# of factoring off (2,429 ``factor`` calls).
+PREFIX_14_CAPPED_SHA256 = \
+    "76a28813c24cdbb2d6b21ba5761e033552bf334ea8475e6c842574218f3ea148"
+
+
+def test_reduce_standard_prunes_factoring_under_a_cap(tmp_path, monkeypatch):
+    # A cap the run never reaches factors no more pairs than no cap: a
+    # duplicate pair is skipped while the cap is not reached.
+    path = tmp_path / "prefix.thy"
+    path.write_text(prefix_theory(14), encoding="utf-8")
+    calls = []
+    factor = hornreduce.resolution.factor
+    monkeypatch.setattr(hornreduce.resolution, "factor",
+                        lambda *a: calls.append(1) or factor(*a))
+    argv = ["reduce", "--theory", str(path), "--mode", "standard"]
+    code, _, _ = run(argv)
+    assert (code, len(calls)) == (0, 45)
+    calls.clear()
+    code, out, _ = run(argv + ["--max-clauses", "1000000"])
+    assert (code, len(calls)) == (0, 45)
+    assert hashlib.sha256(out.encode()).hexdigest() == PREFIX_14_CAPPED_SHA256
+
+
 @pytest.mark.parametrize("fragment, bound", [
     ("2,2,c", 560),  # 546
     ("3,1,2c", 320),  # 310
@@ -437,18 +462,38 @@ def test_open_chain_is_irreducible_without_walking_cuts(monkeypatch):
     assert calls == []
 
 
-def test_over_long_clause_is_inconclusive():
-    # a 1,000-atom chain overflows the recursion limit; the verdict is
-    # "inconclusive within resource bounds", not a traceback
-    n = 1000
-    clause = f"P(x1,x{n}) :- " + ", ".join(
-        f"R{i}(x{i},x{i + 1})" for i in range(1, n)) + "."
+def test_over_long_clause_is_inconclusive(monkeypatch):
+    # Exhausting the recursion limit is "inconclusive within resource
+    # bounds", not a traceback.  No search recurses per body atom any more,
+    # so the overflow is raised where every command passes.
+    def overflow(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(hornreduce.cli, "parse_clause", overflow)
+    clause = "P(x1,x3) :- R1(x1,x2), R2(x2,x3)."
     for argv in (["check", "--clause", clause],
                  ["extend", "--clause", clause, "--depth", "0"]):
         code, out, err = run(argv)
         assert code == 2, argv[0]
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_thousand_atom_chains_are_decided():
+    # Matching and keying have no Python frame per body atom: these runs
+    # overflowed the recursion limit and exited 2.
+    n = 1000
+    closed = f"P(x1,x{n}) :- " + ", ".join(
+        f"R{i}(x{i},x{i + 1})" for i in range(1, n)) + "."
+    open_ = "P0(x0) :- " + ", ".join(
+        f"P{i}(x{i - 1},x{i})" for i in range(1, n)) + "."
+    for argv in (["check", "--clause", closed],
+                 ["check", "--clause", open_, "--fragment-class", "c"]):
+        code, out, _ = run(argv)
+        assert code == 1 and json.loads(out)["result"] == "reducible"
+    code, out, err = run(["extend", "--clause", open_, "--depth", "0"])
+    assert code == 0 and "1 extension(s) at depth 0" in err
+    assert alpha_equivalent(parse_clause(out), parse_clause(open_))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 from hornreduce.clauses import Atom, HornClause
@@ -283,3 +284,49 @@ def test_edges_bfs_trees_and_light_pairs_are_pinned():
             digest.update(repr(key).encode())
     assert digest.hexdigest() == (
         "dd77b4a13e88649fb481d58f865360d51f9444091b50ba14ec770e21019afc67")
+
+
+def scanned_light_pair(graph: ClauseGraph, max_labels: int):
+    """``find_light_pair`` with one pass over the tree per pair: the best
+    pair of the breadth-first trees, ranked by adjacency, label count and
+    pair, else the best pair of the first enumerated tree that has one."""
+    lo, n = graph.body_offset, graph.vertex_count
+    if n - lo < 2:
+        return None
+    linked = {(e.u, e.v) for e in graph.edges}
+
+    def best(tree):
+        ranked = [((0 if (u, v) in linked else 1, len(labels), (u, v)),
+                   (u, v, tree, labels))
+                  for u, v in itertools.combinations(range(lo, n), 2)
+                  for labels in [pair_outgoing_labels(tree, u, v)]
+                  if len(labels) <= max_labels]
+        return min(ranked, key=lambda r: r[0], default=None)
+
+    trees = [graph.bfs_spanning_tree(root) for root in range(n)]
+    if None in trees:
+        return None
+    found = min(filter(None, map(best, trees)), key=lambda r: r[0],
+                default=None)
+    if found is None:
+        found = next(filter(None, map(best, graph.all_spanning_trees())),
+                     None)
+    return None if found is None else found[1]
+
+
+def chain_clause(n: int) -> HornClause:
+    return cl("P0(x0) :- " + ", ".join(f"P{i}(x{i - 1},x{i})"
+                                       for i in range(1, n)) + ".")
+
+
+def test_light_pair_matches_a_scan_of_each_pair(corpus_c24):
+    # The pair's labels come from per-vertex incident-edge masks, not from
+    # a pass over the tree for each pair; the chosen pair is the same.
+    members = [c for c in corpus_c24 if c.body_size >= 3]
+    cases = [(c, cap) for c in random.Random(31).sample(members, 60)
+             for cap in (1, 2, 3)]
+    for c, cap in cases + [(chain_clause(40), 2), (chain_clause(80), 2)]:
+        g = clause_graph(c)
+        lp = find_light_pair(g, cap)
+        got = None if lp is None else (lp.u, lp.v, lp.tree, lp.labels)
+        assert got == scanned_light_pair(g, cap)

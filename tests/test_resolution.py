@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,13 +405,18 @@ def symmetric_theories():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(t=symmetric_theories(), max_body=st.none() | st.integers(1, 4))
 def test_orbit_pruned_factoring_matches_the_full_loop(t, max_body):
-    # A cap no run reaches still factors every body pair.
-    pruned = closure(t, 2, mode="standard", max_body=max_body)
-    full = closure(t, 2, mode="standard", max_body=max_body,
-                   max_clauses=10**9)
-    assert pruned.clauses == full.clauses
-    assert pruned.truncated == full.truncated
-    assert list(pruned._prov.items()) == list(full._prov.items())
+    # The reference factors every body pair: all its orbit labels differ.
+    # Caps 1 to 8 bite at many points of these small closures.
+    for cap in (None, *range(1, 9)):
+        pruned = closure(t, 2, mode="standard", max_body=max_body,
+                         max_clauses=cap)
+        with mock.patch.object(hornreduce.resolution, "_orbits",
+                               lambda c: list(range(len(c.body)))):
+            full = closure(t, 2, mode="standard", max_body=max_body,
+                           max_clauses=cap)
+        assert pruned.clauses == full.clauses
+        assert pruned.truncated == full.truncated
+        assert list(pruned._prov.items()) == list(full._prov.items())
 
 
 def test_closure_renames_each_premise_once(monkeypatch):

@@ -1,16 +1,24 @@
 """The repository's helper scripts under ``tools/``."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
-_spec = importlib.util.spec_from_file_location(
-    "code_lines", TOOLS / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+keydiff = _load("keydiff")
 
 SAMPLE = '''"""Module docstring,
 on two lines."""
@@ -79,3 +87,35 @@ def test_code_lines_against_a_commit(tmp_path, monkeypatch, capsys):
                     ["9", "9", "+0", "total"]]
     assert code_lines.main(["--against", "no-such-ref", "pkg"]) == 1
     assert code_lines.main(["--against", "HEAD"]) == 64
+
+
+def test_keydiff_against_a_commit(tmp_path, monkeypatch, capsys):
+    # A temporary repository holding this package: equal to its own
+    # commit, then a working-tree change that reverses every key's atoms.
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    monkeypatch.chdir(tmp_path)
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "src"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    monkeypatch.setattr(keydiff, "CORPUS_SIZE", 300)
+    monkeypatch.setattr(keydiff, "SPECS", [("horn_c", 2, 2), ("horn", 1, 2)])
+    assert keydiff.main(["--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0/300  canonical keys (seed 6)", "0/2  enumerate_fragment sha256"]
+    with open(tmp_path / "src" / "hornreduce" / "clauses.py", "a",
+              encoding="utf-8") as f:
+        f.write("\n_serialize = _canonical_serialization\n\n\n"
+                "def _canonical_serialization(c):\n"
+                "    has_head, atoms = _serialize(c)\n"
+                "    return has_head, atoms[::-1]\n")
+    assert keydiff.main(["--against", "HEAD"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].endswith("/300  canonical keys (seed 6)")
+    assert rows[0] != "0/300  canonical keys (seed 6)"
+    assert rows[1:] == ["mismatch  enumerate_fragment horn_c(2,2)",
+                        "mismatch  enumerate_fragment horn(1,2)",
+                        "2/2  enumerate_fragment sha256"]
+    assert keydiff.main(["--against", "no-such-ref"]) == 1
+    assert keydiff.main([]) == 64
