@@ -65,7 +65,7 @@ class Atom:
         return self.text()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HornClause:
     """At most one head atom plus a body tuple (a multiset; order is storage).
 
@@ -73,7 +73,15 @@ class HornClause:
     use :func:`canonical_key` / :func:`alpha_equivalent` to compare, not
     ``==`` (which is structural).  Predicate variables sharing a name within
     one clause must agree on arity.
+
+    The hash is the dataclass hash of ``(head, body)``, computed on first
+    use and kept in the ``_hash`` slot, which stays unset until then:
+    building a clause hashes nothing.  ``_hash`` is no field, so ``==``,
+    ``repr`` and ``dataclasses.replace`` see only the head and body, and
+    pickling and copying rebuild the clause from them.
     """
+
+    __slots__ = ("head", "body", "_hash")
 
     head: Atom | None
     body: tuple[Atom, ...]
@@ -85,6 +93,17 @@ class HornClause:
             if known != atom.pred.arity:
                 raise ArityMismatchError(
                     f"{atom.pred.name} used with arities {known} and {atom.pred.arity}")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.head, self.body))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self) -> tuple:
+        return HornClause, (self.head, self.body)
 
     @property
     def body_size(self) -> int:

@@ -37,7 +37,7 @@ from hornreduce.clauses import (
     _representative,
     canonical_key,
 )
-from hornreduce.graphs import _spans
+from hornreduce.graphs import _reach, _spans
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,12 +216,36 @@ def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
     literal pair (such clauses are never most general there); and body
     literals of equal arity must carry non-decreasing block slices, cutting
     permutation copies that canonical dedup would otherwise discard.
+
+    Connected most-general fragments that are not two-connected, with
+    structural generalizers, prune further (``tree``): no block repeats
+    within a literal, and a literal joins no block that holds a literal
+    it is already joined to, so the literal--variable incidence graph
+    stays a forest.  Neither pruned kind has a member among its
+    completions, since completing an assignment only adds incidences:
+
+    - A variable ``v`` twice in literal ``L``: rename one of those
+      occurrences that is not ``v``'s first fresh.  ``L`` still holds
+      ``v``, so every pair of literals that shared a variable still
+      does; the split keeps the predicates and sizes, so it is a valid
+      generalizer.
+    - A cycle ``L1 v1 L2 ... Lk vk L1`` (k >= 2, distinct literals and
+      variables): of ``L1`` and ``L2``, one does not hold ``v1``'s first
+      occurrence; rename ``v1`` there fresh.  A literal that held ``v1``
+      still shares it with the other of the two, and ``L1`` and ``L2``
+      stay joined along ``v2 ... vk``, so the clause stays connected and
+      the split is a valid generalizer.
+
+    The cycle test is the pair prune widened from shared literals to
+    joined ones: ``shared`` grows by everything the joined block reaches
+    (:func:`~hornreduce.graphs._reach`), not by the block alone.
     """
     pos_lit = [li for li, a in enumerate(arities) for _ in range(a)]
     total = len(pos_lit)
     lit_start = list(itertools.accumulate(arities, initial=0))
     two_c = spec.two_connected
     pair_prune = spec.most_general and not two_c
+    tree = pair_prune and spec.connected and spec.structural_generalizers
 
     assign = [0] * total
     masks: list[int] = []
@@ -230,8 +254,9 @@ def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
     def rec(pos: int, tied: bool, shared: int, deficient: int
             ) -> Iterator[tuple[list[int], list[int], list[int]]]:
         # ``shared``: the literals sharing a variable with the current
-        # literal so far (its own bit included); ``deficient``: the blocks
-        # holding a single literal, none at the end when two-connected
+        # literal so far (its own bit included), under ``tree`` every
+        # literal joined to it; ``deficient``: the blocks holding a single
+        # literal, none at the end when two-connected
         if pos == total:
             yield assign, masks, multi
             return
@@ -247,7 +272,7 @@ def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
             m = masks[b]
             if m & bit:
                 # the block is already in this literal: a repeat within it
-                if two_c and deficient > left:
+                if tree or two_c and deficient > left:
                     continue
                 old = multi[b]
                 multi[b] = old | bit
@@ -260,9 +285,10 @@ def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
             d = deficient - (m & (m - 1) == 0)
             if two_c and d > left:
                 continue
+            joined = _reach(masks, m) if tree else m
             masks[b] = m | bit
             assign[pos] = b
-            yield from rec(pos + 1, tied and b == lo, shared | m | bit, d)
+            yield from rec(pos + 1, tied and b == lo, shared | joined | bit, d)
             masks[b] = m
         if not two_c or deficient < left:
             b = len(masks)

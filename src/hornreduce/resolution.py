@@ -783,8 +783,31 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
 # Proof serialization
 # ---------------------------------------------------------------------------
 
-def proof_to_json_dict(proof: Proof) -> dict:
-    """A JSON-ready dict; premises become ("input", i) / ("step", j) refs.
+# The JSON layout of a proof:
+#   {"inputs": [clause text, ...], "steps": [step, ...],
+#    "conclusion": clause text}
+# A step is the dict of step_json_fields plus "premises", its list of
+# premise refs from premise_refs.  A step's own fields do not depend on the
+# proof holding it, so a writer may render them once per step object.
+
+def step_json_fields(step: InferenceStep) -> dict:
+    """The JSON fields of ``step`` other than its premises: the kind and the
+    conclusion text, and the body index, factor indices, pivot text and
+    unifier when the step has them."""
+    entry: dict = {"kind": step.kind, "conclusion": step.conclusion.text()}
+    if step.body_index is not None:
+        entry["body_index"] = step.body_index
+    if step.factor_indices is not None:
+        entry["factor_indices"] = list(step.factor_indices)
+    if step.pivot is not None:
+        entry["pivot"] = step.pivot.text()
+    if step.unifier is not None:
+        entry["unifier"] = step.unifier.to_json_dict()
+    return entry
+
+
+def premise_refs(proof: Proof) -> list[list[list]]:
+    """Each step's premises as ``["input", i]`` / ``["step", j]`` refs.
 
     A premise refers to the first input equal to it, else to the earliest
     earlier step concluding it; ValueError when there is none.
@@ -792,28 +815,26 @@ def proof_to_json_dict(proof: Proof) -> dict:
     refs: dict[HornClause, tuple[str, int]] = {}
     for i, inp in enumerate(proof.inputs):
         refs.setdefault(inp, ("input", i))
-    steps = []
+    out = []
     for j, step in enumerate(proof.steps):
         try:
-            premises = [list(refs[p]) for p in step.premises]
+            out.append([list(refs[p]) for p in step.premises])
         except KeyError:
             raise ValueError("step premise is not an input or earlier "
                              "conclusion") from None
-        entry: dict = {
-            "kind": step.kind,
-            "premises": premises,
-            "conclusion": step.conclusion.text(),
-        }
-        if step.body_index is not None:
-            entry["body_index"] = step.body_index
-        if step.factor_indices is not None:
-            entry["factor_indices"] = list(step.factor_indices)
-        if step.pivot is not None:
-            entry["pivot"] = step.pivot.text()
-        if step.unifier is not None:
-            entry["unifier"] = step.unifier.to_json_dict()
-        steps.append(entry)
         refs.setdefault(step.conclusion, ("step", j))
+    return out
+
+
+def proof_to_json_dict(proof: Proof) -> dict:
+    """A JSON-ready dict in the layout above; ValueError when a premise is
+    neither an input nor an earlier conclusion (see :func:`premise_refs`).
+    """
+    steps = []
+    for step, premises in zip(proof.steps, premise_refs(proof)):
+        entry = {"kind": step.kind, "premises": premises}
+        entry.update(step_json_fields(step))
+        steps.append(entry)
     return {
         "inputs": [c.text() for c in proof.inputs],
         "steps": steps,

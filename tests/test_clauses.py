@@ -1,6 +1,10 @@
 """Clause algebra: construction, substitutions, mgu, canonical forms,
 instance matching, pending variables, parsing."""
 
+import copy
+import dataclasses
+import functools
+import pickle
 import random
 
 import pytest
@@ -91,6 +95,55 @@ def test_traversal_orders():
     assert list(c.term_vars()) == ["x1", "x2", "x3", "x4"]
     assert c.max_arity() == 2
     assert c.literals()[0] is c.head
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), first=st.sampled_from([0, 1, 2]))
+def test_equal_clauses_hash_equally_whichever_is_hashed_first(seed, first):
+    # Two equal clauses built apart; none, one or the other is hashed
+    # before the comparison.  The hash is the dataclass hash of the fields.
+    c = random_clause(random.Random(seed))
+    d = HornClause(c.head, tuple(c.body))
+    if first:
+        hash((c, d)[first - 1])
+    assert hash(c) == hash(d) == hash((c.head, c.body))
+    assert c == d and {c: 1}[d] == 1
+
+
+def _pickled(c, protocol):
+    return pickle.loads(pickle.dumps(c, protocol))
+
+
+@pytest.mark.parametrize("hashed", [False, True], ids=["fresh", "hashed"])
+@pytest.mark.parametrize("copier", [
+    *(functools.partial(_pickled, protocol=k)
+      for k in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy],
+    ids=[*(f"pickle{k}" for k in range(pickle.HIGHEST_PROTOCOL + 1)),
+         "copy", "deepcopy"])
+def test_clause_pickle_and_copy_round_trip(hashed, copier):
+    # An unset hash slot must not break the round trip, nor a set one
+    # carry over wrongly.
+    c = c_base()
+    if hashed:
+        hash(c)
+    d = copier(c)
+    assert d == c and repr(d) == repr(c)
+    assert hash(d) == hash(c) == hash((c.head, c.body))
+    headless = HornClause(None, c.body)
+    assert copier(headless) == headless
+
+
+def test_replace_builds_a_clause_with_its_own_hash():
+    c = cl("P(x) :- Q(x), R(x).")
+    hash(c)
+    d = dataclasses.replace(c, body=c.body[:1])
+    assert d == cl("P(x) :- Q(x).")
+    assert hash(d) == hash(cl("P(x) :- Q(x).")) == hash((d.head, d.body))
+    assert dataclasses.replace(c) == c and hash(dataclasses.replace(c)) == hash(c)
+    assert [f.name for f in dataclasses.fields(HornClause)] == ["head", "body"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.body = ()
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,25 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hornreduce.cli
 import hornreduce.clauses
 import hornreduce.reduction
 import hornreduce.resolution
 from hornreduce.clauses import Theory, alpha_equivalent, canonical_key, parse_clause
-from hornreduce.fragments import enumerate_fragment, horn_2c
+from hornreduce.fragments import enumerate_fragment, horn_2c, horn_c
 from hornreduce.cli import _json_text, run
-from hornreduce.reduction import c_base, hnr_family
-from hornreduce.resolution import proof_from_json_dict, replay_proof
+from hornreduce.reduction import c_base, hnr_family, reduce_theory
+from hornreduce.resolution import (
+    MODES,
+    Proof,
+    factor,
+    proof_from_json_dict,
+    proof_to_json_dict,
+    replay_proof,
+    unify_onto,
+)
 
 from conftest import cl
 
@@ -592,6 +600,73 @@ def test_json_text_accepts_only_the_payload_types(obj):
     # payloads hold neither, so the emitter refuses them.
     with pytest.raises(TypeError):
         _json_text(obj)
+
+
+def _as_dicts(obj):
+    """``obj`` with every proof replaced by its ``proof_to_json_dict``."""
+    if isinstance(obj, Proof):
+        return proof_to_json_dict(obj)
+    if isinstance(obj, dict):
+        return {k: _as_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_dicts(v) for v in obj]
+    return obj
+
+
+# horn_2c(2,2) in standard mode removes clauses by factoring; every
+# reduce splices proofs that share steps, and some resolve a member
+# against itself, so their inputs repeat.
+_PROOF_POOL = list(dict.fromkeys(
+    enumerate_fragment(horn_c(2, 2)) + enumerate_fragment(horn_2c(2, 2))
+    + enumerate_fragment(horn_c(1, 4))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(members=list(enumerate_fragment(horn_2c(2, 2))), mode="standard")
+@given(members=st.lists(st.sampled_from(_PROOF_POOL), min_size=2,
+                        max_size=24, unique=True),
+       mode=st.sampled_from(MODES))
+def test_json_text_writes_a_proof_as_its_dict(members, mode):
+    # Proofs in the payload print as proof_to_json_dict prints through
+    # json.dumps, at every depth, when steps are shared within and across
+    # proofs and at two depths at once.
+    report = reduce_theory(members, mode)
+    proofs = [p for _, p in report.removed]
+    payload = {"removed": [{"clause": str(c), "proof": p}
+                           for c, p in report.removed],
+               "again": proofs[:3], "deeper": [{"proofs": proofs[-2:]}]}
+    assert _json_text(payload) == _dumps_text(_as_dicts(payload))
+
+
+def test_json_text_writes_proofs_with_repeated_inputs_and_factoring():
+    # Hand-built: inputs that repeat (a premise refers to the first), a
+    # factoring step, a step listed twice (its second copy refers back to
+    # the same premises) and a proof without steps.
+    c = cl("P(x) :- Q(x,y), Q(x,z), R(z).")
+    fac = factor(c, 0, 1)
+    fin = unify_onto(fac.conclusion, cl("P(u) :- Q(u,u), R(u)."))
+    proofs = [Proof((c, c), (fac, fac, fin), fin.conclusion),
+              Proof((c,), (), c)]
+    assert proof_to_json_dict(proofs[0])["steps"][1]["premises"] == \
+        [["input", 0]]
+    payload = {"proofs": proofs, "one": proofs[0]}
+    assert _json_text(payload) == _dumps_text(_as_dicts(payload))
+    with pytest.raises(ValueError):
+        _json_text(Proof((), (fac,), fac.conclusion))
+
+
+def test_reduce_renders_each_shared_step_once(monkeypatch):
+    # reduce --fragment 2,2,c prints 711 steps of 108 step objects; the
+    # fields besides the premises are built once per object.
+    calls = []
+    fields = hornreduce.cli.step_json_fields
+    monkeypatch.setattr(hornreduce.cli, "step_json_fields",
+                        lambda step: calls.append(step) or fields(step))
+    code, out, _ = run(["reduce", "--fragment", "2,2,c"])
+    assert code == 0
+    removed = json.loads(out)["removed"]
+    assert sum(len(r["proof"]["steps"]) for r in removed) == 711
+    assert len(calls) == len({id(step) for step in calls}) == 108
 
 
 _BASE = str(c_base())

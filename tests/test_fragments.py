@@ -39,6 +39,7 @@ from conftest import (
     oracle_is_connected,
     oracle_member,
     oracle_pending_variables,
+    oracle_structural_ok,
     single_splits,
     oracle_most_general_in,
     raw_clauses,
@@ -407,6 +408,50 @@ def mixed_clauses(draw):
                  st.booleans()))
 def test_mask_verdicts_match_oracles_on_random_clauses(c, spec):
     verdicts_match_oracles(spec, c)
+
+
+def incidence_tree(c: HornClause) -> bool:
+    """No literal repeats a variable, and the graph joining each literal to
+    its variables is a tree: connected, with one edge fewer than nodes."""
+    lits = c.literals()
+    if any(len(set(a.args)) < len(a.args) for a in lits):
+        return False
+    edges = sum(len(a.args) for a in lits)
+    return oracle_is_connected(c) and \
+        edges == len(lits) + len(c.term_vars()) - 1
+
+
+@st.composite
+def tree_rule_cases(draw):
+    """A clause of up to four body atoms over four variables, arities 1 to
+    3, whose predicates mostly differ, and a connected most-general spec
+    that is not two-connected."""
+    atom = st.builds(
+        lambda name, args: Atom.of(f"{name}{len(args)}", *args),
+        st.sampled_from("PQRSTU"),
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=3))
+    c = HornClause(draw(atom), tuple(draw(st.lists(atom, max_size=4))))
+    spec = FragmentSpec(draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+                        connected=True, distinct_predvars=draw(st.booleans()),
+                        most_general=True)
+    return c, spec
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tree_rule_cases())
+def test_connected_most_general_members_are_literal_variable_trees(case):
+    # The rule behind enumeration's tree prune: in these specs a clause is
+    # a member iff it passes the structural tests, repeats no predicate
+    # and its literal-variable graph is a tree.  Enumeration, which prunes
+    # every assignment that is no such tree, still lists every member.
+    c, spec = case
+    preds = [a.pred for a in c.literals()]
+    tree = oracle_structural_ok(spec, c) and incidence_tree(c) and \
+        len(set(preds)) == len(preds)
+    assert oracle_member(spec, c) == tree, (spec, c)
+    if tree and spec.max_arity * spec.max_body < 9:
+        keys = {canonical_key(m) for m in enumerate_fragment(spec)}
+        assert canonical_key(c) in keys, (spec, c)
 
 
 def test_enumeration_canonicalizes_only_survivors(monkeypatch):

@@ -19,6 +19,7 @@ def _load(name: str):
 
 code_lines = _load("code_lines")
 keydiff = _load("keydiff")
+stdoutdiff = _load("stdoutdiff")
 
 SAMPLE = '''"""Module docstring,
 on two lines."""
@@ -119,3 +120,34 @@ def test_keydiff_against_a_commit(tmp_path, monkeypatch, capsys):
                         "2/2  enumerate_fragment sha256"]
     assert keydiff.main(["--against", "no-such-ref"]) == 1
     assert keydiff.main([]) == 64
+
+
+def test_stdoutdiff_against_a_commit(tmp_path, monkeypatch, capsys):
+    # A temporary repository holding this package: equal to its own
+    # commit, then a working-tree change that adds a space to every JSON
+    # payload.
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    monkeypatch.chdir(tmp_path)
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "src"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    reduce = ["reduce", "--fragment", "1,3,c"]
+    monkeypatch.setattr(stdoutdiff, "ARGV", [reduce, stdoutdiff.ARGV[-1],
+                                             ["graph", "--clause", "P(x)."]])
+    assert stdoutdiff.main(["--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0/3  cli exit code and stdout"]
+    with open(tmp_path / "src" / "hornreduce" / "cli.py", "a",
+              encoding="utf-8") as f:
+        f.write("\n_text = _json_text\n\n\n"
+                "def _json_text(payload):\n"
+                "    return _text(payload) + ' '\n")
+    assert stdoutdiff.main(["--against", "HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "mismatch  reduce --fragment 1,3,c",
+        "mismatch  " + " ".join(stdoutdiff.ARGV[1]),
+        "2/3  cli exit code and stdout"]
+    assert stdoutdiff.main(["--against", "no-such-ref"]) == 1
+    assert stdoutdiff.main([]) == 64

@@ -94,14 +94,38 @@ def corpus(seed: int, size: int) -> list:
     return out
 
 
-def run_tree(src: str, payload: str) -> dict:
-    """The worker's answers for the package under ``src``."""
+def run_tree(src: str, worker: str, payload: str):
+    """The answers ``worker`` writes for the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-c", _WORKER], input=payload,
+        proc = subprocess.run([sys.executable, "-c", worker], input=payload,
                               capture_output=True, text=True, env=env,
                               cwd=cwd, check=True)
     return json.loads(proc.stdout)
+
+
+def run_against(ref: str, worker: str, payload: str) -> tuple | None:
+    """``worker``'s answers for ``src/`` at commit ``ref`` (extracted with
+    ``git archive``) and for this checkout's ``src/``; None, with the
+    error on stderr, when git or a worker fails."""
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"],
+                             capture_output=True, text=True,
+                             check=True).stdout.strip()
+        tar = subprocess.run(["git", "archive", "--format=tar", ref, "src"],
+                             capture_output=True, check=True,
+                             cwd=top).stdout
+        with tempfile.TemporaryDirectory() as tmp:
+            with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+                archive.extractall(tmp, filter="data")
+            before = run_tree(os.path.join(tmp, "src"), worker, payload)
+        after = run_tree(os.path.join(top, "src"), worker, payload)
+    except subprocess.CalledProcessError as e:
+        err = e.stderr
+        print((err.decode() if isinstance(err, bytes) else err).strip(),
+              file=sys.stderr)
+        return None
+    return before, after
 
 
 def main(argv: list[str]) -> int:
@@ -112,23 +136,10 @@ def main(argv: list[str]) -> int:
         "clauses": corpus(CORPUS_SEED, CORPUS_SIZE),
         "specs": [(arity, body, _KINDS[kind]) for kind, arity, body in SPECS],
     })
-    try:
-        top = subprocess.run(["git", "rev-parse", "--show-toplevel"],
-                             capture_output=True, text=True,
-                             check=True).stdout.strip()
-        tar = subprocess.run(["git", "archive", "--format=tar", argv[1],
-                              "src"], capture_output=True, check=True,
-                             cwd=top).stdout
-        with tempfile.TemporaryDirectory() as tmp:
-            with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-                archive.extractall(tmp, filter="data")
-            before = run_tree(os.path.join(tmp, "src"), payload)
-        after = run_tree(os.path.join(top, "src"), payload)
-    except subprocess.CalledProcessError as e:
-        err = e.stderr
-        print((err.decode() if isinstance(err, bytes) else err).strip(),
-              file=sys.stderr)
+    answers = run_against(argv[1], _WORKER, payload)
+    if answers is None:
         return 1
+    before, after = answers
     keys = sum(b != a for b, a in zip(before["keys"], after["keys"]))
     print(f"{keys}/{CORPUS_SIZE}  canonical keys (seed {CORPUS_SEED})")
     frags = 0
