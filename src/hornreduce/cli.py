@@ -55,9 +55,8 @@ from hornreduce.reduction import (
 from hornreduce.resolution import (
     MODES,
     Proof,
-    premise_refs,
+    proof_to_json_dict,
     search_derivation,
-    step_json_fields,
 )
 
 SCHEMA_VERSION = 1
@@ -83,25 +82,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_text(payload) -> str:
     """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
-    writes it, plus a newline, byte for byte, where a :class:`Proof`
-    stands for its ``proof_to_json_dict``.
+    writes it, plus a newline, byte for byte.
 
     With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder;
     this writes the same layout in one pass.  It accepts dicts with str
-    keys, lists, tuples (as arrays), str, int, bool, None and proofs;
-    anything else, floats and sets included, is a TypeError.
+    keys, lists, tuples (as arrays), str, int, bool and None; anything
+    else, floats and sets included, is a TypeError.
 
-    Spliced removal proofs share step objects, so a proof is written
-    without building its dict: the text of a step's fields other than its
-    premises (:func:`step_json_fields`) is rendered once per step object
-    and depth in this payload, and each occurrence adds only its premise
-    refs (:func:`premise_refs`).  The payload keeps its steps alive, so
-    their ids stay distinct while the memo lives.
+    A dict that occurs more than once at one depth is written once and
+    its pieces copied: ``proof_to_json_dict`` shares each step's unifier
+    dict among the spliced proofs that hold the step.  The payload keeps
+    every dict alive while it is written, so ids stay distinct.
     """
     out: list[str] = []
     append = out.append
     encode = json.encoder.encode_basestring_ascii
-    step_texts: dict[tuple[int, str], tuple[str, str]] = {}
+    # (id(dict), indent) -> the slice of out that writes it
+    written: dict[tuple[int, str], tuple[int, int]] = {}
 
     def emit(obj, indent: str) -> None:
         if isinstance(obj, str):
@@ -110,6 +107,11 @@ def _json_text(payload) -> str:
             if not obj:
                 append("{}")
                 return
+            span = written.get((id(obj), indent))
+            if span is not None:
+                out.extend(out[span[0]:span[1]])
+                return
+            start = len(out)
             inner = indent + "  "
             sep, comma = "{" + inner, "," + inner
             for key in sorted(obj):
@@ -118,10 +120,15 @@ def _json_text(payload) -> str:
                 append(sep)
                 append(encode(key))
                 append(": ")
-                emit(obj[key], inner)
+                value = obj[key]
+                if type(value) is str:
+                    append(encode(value))
+                else:
+                    emit(value, inner)
                 sep = comma
             append(indent)
             append("}")
+            written[id(obj), indent] = (start, len(out))
         elif isinstance(obj, (list, tuple)):
             if not obj:
                 append("[]")
@@ -130,7 +137,12 @@ def _json_text(payload) -> str:
             sep, comma = "[" + inner, "," + inner
             for item in obj:
                 append(sep)
-                emit(item, inner)
+                if type(item) is str:
+                    append(encode(item))
+                elif type(item) is int:
+                    append(int.__repr__(item))
+                else:
+                    emit(item, inner)
                 sep = comma
             append(indent)
             append("]")
@@ -142,54 +154,8 @@ def _json_text(payload) -> str:
             append("false")
         elif isinstance(obj, int):
             append(int.__repr__(obj))
-        elif isinstance(obj, Proof):
-            emit_proof(obj, indent)
         else:
             raise TypeError(f"{type(obj).__name__} is not written as JSON")
-
-    def rendered(obj, indent: str) -> str:
-        start = len(out)
-        emit(obj, indent)
-        text = "".join(out[start:])
-        del out[start:]
-        return text
-
-    def step_text(step, indent: str) -> tuple[str, str]:
-        # the step's dict as emit writes it, cut where the value of its
-        # "premises" key goes: the other keys sort around that one
-        fields = step_json_fields(step)
-        inner = indent + "  "
-        before, after = [], []
-        for key in sorted(fields):
-            (before if key < "premises" else after).append(
-                f"{inner}{encode(key)}: {rendered(fields[key], inner)}")
-        head = "{" + "".join(line + "," for line in before) + \
-            inner + '"premises": '
-        return head, "".join("," + line for line in after) + indent + "}"
-
-    def emit_proof(proof: Proof, indent: str) -> None:
-        inner = indent + "  "
-        append("{" + inner + '"conclusion": ')
-        append(encode(proof.conclusion.text()))
-        append("," + inner + '"inputs": ')
-        emit([c.text() for c in proof.inputs], inner)
-        append("," + inner + '"steps": ')
-        if not proof.steps:
-            append("[]")
-        else:
-            item = inner + "  "
-            sep = "[" + item
-            for step, refs in zip(proof.steps, premise_refs(proof)):
-                parts = step_texts.get((id(step), item))
-                if parts is None:
-                    parts = step_texts[id(step), item] = step_text(step, item)
-                append(sep)
-                append(parts[0])
-                emit(refs, item + "  ")
-                append(parts[1])
-                sep = "," + item
-            append(inner + "]")
-        append(indent + "}")
 
     emit(payload, "\n")
     append("\n")
@@ -284,7 +250,7 @@ def _cmd_reduce(ns) -> tuple[int, str, str]:
         "bounds": report.bounds,
         "bounds_hit": report.bounds_hit,
         "core": [str(c) for c in core],
-        "removed": [{"clause": str(c), "proof": p}
+        "removed": [{"clause": str(c), "proof": proof_to_json_dict(p)}
                     for c, p in report.removed],
     }
     summary = (f"core {len(core)} clause(s), removed {len(report.removed)}, "
@@ -331,7 +297,7 @@ def _cmd_check(ns) -> tuple[int, str, str]:
     if ns.mode == "sld":
         payload["witness"] = _witness_json(result)
     else:
-        payload["proof"] = result
+        payload["proof"] = proof_to_json_dict(result)
     return EXIT_NEGATIVE, _json_text(payload), "reducible\n"
 
 
@@ -345,7 +311,7 @@ def _cmd_derive(ns) -> tuple[int, str, str]:
                "max_depth": ns.max_depth, "truncated": res.truncated}
     if res.found:
         payload["result"] = "found"
-        payload["proof"] = res.proof
+        payload["proof"] = proof_to_json_dict(res.proof)
         return EXIT_OK, _json_text(payload), "derivation found\n"
     if res.truncated:
         payload["result"] = "unknown"

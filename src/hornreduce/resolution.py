@@ -50,7 +50,12 @@ MODES = ("sld", "standard")
 
 @dataclass(frozen=True, slots=True)
 class InferenceStep:
-    """One inference: premises, the rule applied, and its exact conclusion."""
+    """One inference: premises, the rule applied, and its exact conclusion.
+
+    ``_json_fields`` keeps the step's JSON fields once a proof holding it is
+    serialized (see :func:`_step_json_fields`); it is no constructor
+    argument and takes no part in ``==``, the hash or ``repr``.
+    """
 
     kind: str
     premises: tuple[HornClause, ...]
@@ -59,6 +64,8 @@ class InferenceStep:
     factor_indices: tuple[int, int] | None = None
     pivot: Atom | None = None
     unifier: Substitution | None = None
+    _json_fields: dict | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -786,15 +793,20 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
 # The JSON layout of a proof:
 #   {"inputs": [clause text, ...], "steps": [step, ...],
 #    "conclusion": clause text}
-# A step is the dict of step_json_fields plus "premises", its list of
-# premise refs from premise_refs.  A step's own fields do not depend on the
-# proof holding it, so a writer may render them once per step object.
+# A step is the dict of _step_json_fields plus "premises", its list of
+# premise refs from _premise_refs.  A step's own fields do not depend on the
+# proof holding it, and spliced proofs share step objects, so they are
+# built once per step object.
 
-def step_json_fields(step: InferenceStep) -> dict:
+def _step_json_fields(step: InferenceStep) -> dict:
     """The JSON fields of ``step`` other than its premises: the kind and the
     conclusion text, and the body index, factor indices, pivot text and
-    unifier when the step has them."""
-    entry: dict = {"kind": step.kind, "conclusion": step.conclusion.text()}
+    unifier when the step has them.  Built on the first call and kept on
+    the step; callers copy the dict and share its values."""
+    entry = step._json_fields
+    if entry is not None:
+        return entry
+    entry = {"kind": step.kind, "conclusion": step.conclusion.text()}
     if step.body_index is not None:
         entry["body_index"] = step.body_index
     if step.factor_indices is not None:
@@ -803,10 +815,11 @@ def step_json_fields(step: InferenceStep) -> dict:
         entry["pivot"] = step.pivot.text()
     if step.unifier is not None:
         entry["unifier"] = step.unifier.to_json_dict()
+    object.__setattr__(step, "_json_fields", entry)
     return entry
 
 
-def premise_refs(proof: Proof) -> list[list[list]]:
+def _premise_refs(proof: Proof) -> list[list[list]]:
     """Each step's premises as ``["input", i]`` / ``["step", j]`` refs.
 
     A premise refers to the first input equal to it, else to the earliest
@@ -828,12 +841,18 @@ def premise_refs(proof: Proof) -> list[list[list]]:
 
 def proof_to_json_dict(proof: Proof) -> dict:
     """A JSON-ready dict in the layout above; ValueError when a premise is
-    neither an input nor an earlier conclusion (see :func:`premise_refs`).
+    neither an input nor an earlier conclusion (see :func:`_premise_refs`).
+
+    Each call returns new dicts and lists down to the steps and their
+    premise refs.  The ``factor_indices`` list and the ``unifier`` dict of
+    a step are built once per step object and shared by every dict made
+    from it, so a proof's steps are serialized once however many spliced
+    proofs hold them: copy those two values before changing them.
     """
     steps = []
-    for step, premises in zip(proof.steps, premise_refs(proof)):
+    for step, premises in zip(proof.steps, _premise_refs(proof)):
         entry = {"kind": step.kind, "premises": premises}
-        entry.update(step_json_fields(step))
+        entry.update(_step_json_fields(step))
         steps.append(entry)
     return {
         "inputs": [c.text() for c in proof.inputs],

@@ -602,15 +602,29 @@ def test_json_text_accepts_only_the_payload_types(obj):
         _json_text(obj)
 
 
-def _as_dicts(obj):
-    """``obj`` with every proof replaced by its ``proof_to_json_dict``."""
-    if isinstance(obj, Proof):
-        return proof_to_json_dict(obj)
-    if isinstance(obj, dict):
-        return {k: _as_dicts(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_dicts(v) for v in obj]
-    return obj
+def _old_proof_json(proof: Proof) -> dict:
+    """The reference for proof_to_json_dict: every value of every step
+    built afresh, in the same key order."""
+    refs = {}
+    for i, inp in enumerate(proof.inputs):
+        refs.setdefault(inp, ("input", i))
+    steps = []
+    for j, step in enumerate(proof.steps):
+        entry = {"kind": step.kind,
+                 "premises": [list(refs[p]) for p in step.premises],
+                 "conclusion": step.conclusion.text()}
+        if step.body_index is not None:
+            entry["body_index"] = step.body_index
+        if step.factor_indices is not None:
+            entry["factor_indices"] = list(step.factor_indices)
+        if step.pivot is not None:
+            entry["pivot"] = step.pivot.text()
+        if step.unifier is not None:
+            entry["unifier"] = step.unifier.to_json_dict()
+        steps.append(entry)
+        refs.setdefault(step.conclusion, ("step", j))
+    return {"inputs": [c.text() for c in proof.inputs], "steps": steps,
+            "conclusion": proof.conclusion.text()}
 
 
 # horn_2c(2,2) in standard mode removes clauses by factoring; every
@@ -626,19 +640,24 @@ _PROOF_POOL = list(dict.fromkeys(
 @given(members=st.lists(st.sampled_from(_PROOF_POOL), min_size=2,
                         max_size=24, unique=True),
        mode=st.sampled_from(MODES))
-def test_json_text_writes_a_proof_as_its_dict(members, mode):
-    # Proofs in the payload print as proof_to_json_dict prints through
-    # json.dumps, at every depth, when steps are shared within and across
-    # proofs and at two depths at once.
+def test_shared_proof_dicts_print_as_json_dumps_prints_them(members, mode):
+    # Spliced proofs share steps, so their dicts share unifier dicts; the
+    # dicts equal the old ones, key order included, and print as
+    # json.dumps prints them, also when one proof sits at two depths.
     report = reduce_theory(members, mode)
     proofs = [p for _, p in report.removed]
-    payload = {"removed": [{"clause": str(c), "proof": p}
-                           for c, p in report.removed],
-               "again": proofs[:3], "deeper": [{"proofs": proofs[-2:]}]}
-    assert _json_text(payload) == _dumps_text(_as_dicts(payload))
+    dicts = [proof_to_json_dict(p) for p in proofs]
+    for p, d in zip(proofs, dicts):
+        old = _old_proof_json(p)
+        assert d == old
+        assert [list(e) for e in d["steps"]] == [list(e) for e in old["steps"]]
+    payload = {"removed": [{"clause": str(c), "proof": d}
+                           for (c, _), d in zip(report.removed, dicts)],
+               "again": dicts[:3], "deeper": [{"proofs": dicts[-2:]}]}
+    assert _json_text(payload) == _dumps_text(payload)
 
 
-def test_json_text_writes_proofs_with_repeated_inputs_and_factoring():
+def test_proof_dicts_with_repeated_inputs_and_factoring():
     # Hand-built: inputs that repeat (a premise refers to the first), a
     # factoring step, a step listed twice (its second copy refers back to
     # the same premises) and a proof without steps.
@@ -647,26 +666,45 @@ def test_json_text_writes_proofs_with_repeated_inputs_and_factoring():
     fin = unify_onto(fac.conclusion, cl("P(u) :- Q(u,u), R(u)."))
     proofs = [Proof((c, c), (fac, fac, fin), fin.conclusion),
               Proof((c,), (), c)]
-    assert proof_to_json_dict(proofs[0])["steps"][1]["premises"] == \
-        [["input", 0]]
-    payload = {"proofs": proofs, "one": proofs[0]}
-    assert _json_text(payload) == _dumps_text(_as_dicts(payload))
+    dicts = [proof_to_json_dict(p) for p in proofs]
+    assert dicts == [_old_proof_json(p) for p in proofs]
+    assert dicts[0]["steps"][1]["premises"] == [["input", 0]]
+    payload = {"proofs": dicts, "one": dicts[0]}
+    assert _json_text(payload) == _dumps_text(payload)
     with pytest.raises(ValueError):
-        _json_text(Proof((), (fac,), fac.conclusion))
+        proof_to_json_dict(Proof((), (fac,), fac.conclusion))
 
 
-def test_reduce_renders_each_shared_step_once(monkeypatch):
+def test_proof_dicts_are_new_down_to_the_premise_refs():
+    # Changing one result's steps and refs leaves the next result as it was.
+    c = cl("P(x) :- Q(x,y), Q(x,z), R(z).")
+    fac = factor(c, 0, 1)
+    proof = Proof((c,), (fac,), fac.conclusion)
+    first = proof_to_json_dict(proof)
+    first["steps"][0]["kind"] = "edited"
+    first["steps"][0]["premises"][0][1] = 7
+    first["steps"].append({})
+    assert proof_to_json_dict(proof) == _old_proof_json(proof)
+
+
+def test_reduce_builds_each_shared_step_once(monkeypatch):
     # reduce --fragment 2,2,c prints 711 steps of 108 step objects; the
     # fields besides the premises are built once per object.
-    calls = []
-    fields = hornreduce.cli.step_json_fields
-    monkeypatch.setattr(hornreduce.cli, "step_json_fields",
-                        lambda step: calls.append(step) or fields(step))
+    calls, built = [], []
+    fields = hornreduce.resolution._step_json_fields
+
+    def counted(step):
+        calls.append(step)
+        if step._json_fields is None:
+            built.append(step)
+        return fields(step)
+
+    monkeypatch.setattr(hornreduce.resolution, "_step_json_fields", counted)
     code, out, _ = run(["reduce", "--fragment", "2,2,c"])
     assert code == 0
     removed = json.loads(out)["removed"]
-    assert sum(len(r["proof"]["steps"]) for r in removed) == 711
-    assert len(calls) == len({id(step) for step in calls}) == 108
+    assert sum(len(r["proof"]["steps"]) for r in removed) == len(calls) == 711
+    assert len(built) == len({id(step) for step in calls}) == 108
 
 
 _BASE = str(c_base())

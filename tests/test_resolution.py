@@ -732,6 +732,25 @@ def test_proof_json_round_trip_with_factoring():
     assert replay_proof(rebuilt, theory=t)
 
 
+def test_kept_json_fields_are_not_part_of_the_step():
+    # Serializing a proof keeps each step's fields on it; equality, repr,
+    # replace, pickle and copy see the step as before.
+    import copy
+    import dataclasses
+    import pickle
+    step = resolve(cl("P(x) :- Q(x,y), R(y)."), cl("Q(u,v) :- S(u,v)."), 0)
+    twin = dataclasses.replace(step)
+    before = repr(step)
+    proof_to_json_dict(Proof(step.premises, (step,), step.conclusion))
+    assert step._json_fields is not None and twin._json_fields is None
+    assert step == twin and repr(step) == before == repr(twin)
+    other = dataclasses.replace(step, kind=KIND_RESOLUTION)
+    assert other._json_fields is None and other.kind == KIND_RESOLUTION
+    for clone in (pickle.loads(pickle.dumps(step)), copy.copy(step),
+                  copy.deepcopy(step)):
+        assert clone == step and repr(clone) == before
+
+
 def test_proof_json_refs_name_the_first_match():
     c1 = cl("P(x) :- Q(x), R(x).")
     c2 = cl("Q(u) :- S(u).")
