@@ -5,8 +5,7 @@ arity, body length) and optional structural constraints: connectedness of
 the clause graph, two-connectedness (every variable occurs in at least two
 literals), distinct predicate variables, and most-generality.  A clause is
 most general when no proper generalization of it stays inside the fragment's
-structural constraints; with ``structural_generalizers=False`` generalizers
-only have to respect the size bounds.
+structural constraints.
 
 Body sizes run from 1 to ``max_body``; facts are the degenerate fragment
 ``max_body=0``.  Enumeration is up to alpha-equivalence: one canonical
@@ -17,8 +16,9 @@ per-variable literal masks (bit ``k`` set when literal ``k``, head first,
 holds the variable) rather than on clause graphs and split clauses.
 Membership reads them from :func:`hornreduce.clauses._literal_masks`.
 Enumeration keeps those masks while it assigns variables to argument
-positions, decides the tests on them, and builds and canonicalizes only the
-clauses of the assignments that pass.
+positions and decides membership inside that search, by prunes and by one
+test per complete assignment, so it builds and canonicalizes only the
+clauses of member assignments.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from hornreduce.clauses import (
     Atom,
@@ -50,7 +50,6 @@ class FragmentSpec:
     two_connected: bool = False
     distinct_predvars: bool = False
     most_general: bool = False
-    structural_generalizers: bool = True
 
     def __post_init__(self) -> None:
         if self.max_arity < 1:
@@ -131,10 +130,6 @@ def _most_general(spec: FragmentSpec, masks: list[int], multi: list[int],
     valid when the masks still span the literals (connected) and both hold
     two literals (two-connected).
     """
-    if not spec.structural_generalizers:
-        # every split is valid, so only a clause without one is most general
-        return not repeats and not any(multi) and all(
-            m.bit_count() < 2 for m in masks)
     if spec.two_connected and any(m.bit_count() < 2 for m in masks):
         return True
     if repeats:
@@ -197,78 +192,97 @@ def _arity_profiles(spec: FragmentSpec) -> Iterator[tuple[int, ...]]:
                 yield (head_arity,) + body_ar
 
 
-def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
-                          ) -> Iterator[tuple[list[int], list[int], list[int]]]:
-    """Set partitions of the argument positions of literals of ``arities``
-    (head first), each with its blocks' literal masks.
+def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...],
+                          leaf: Callable[[list[int]], None]) -> None:
+    """Call ``leaf(assign)`` once for each set partition of the argument
+    positions of literals of ``arities`` (head first) whose clauses belong
+    to the fragment, save the permutation copies cut below.  ``assign``
+    holds a block index per position, and block ``b`` is the variable of
+    the positions holding ``b``; it is the search's own list, so ``leaf``
+    copies what it keeps.
 
-    Yields ``(assign, masks, multi)``: ``assign`` holds a block index per
-    position, and block ``b`` is the variable of the positions holding
-    ``b``; bit ``k`` of ``masks[b]`` is set when literal ``k`` holds that
-    variable, and of ``multi[b]`` when literal ``k`` holds it twice or
-    more.  The three lists are the search's own state, valid until the
-    next item is drawn.
+    Partitions are generated as restricted growth strings, one literal mask
+    per block (bit ``k`` set when literal ``k`` holds the block's variable)
+    and one of the literals holding it twice or more.  Body literals of
+    equal arity must carry non-decreasing block slices, cutting permutation
+    copies that canonical dedup would otherwise discard.  Two-connected
+    fragments bound the number of blocks still touching a single literal
+    by the positions left, so no complete assignment leaves one.  A
+    complete assignment of a connected fragment must span the literals
+    (:func:`~hornreduce.graphs._spans`), and one of a most-general,
+    two-connected fragment must pass :func:`_most_general`.  Predicates do
+    not change the clause graph, and a most-general fragment has one
+    predicate pattern, with distinct predicates (:func:`_pred_patterns`),
+    so these verdicts hold for every clause built from the assignment.
 
-    Partitions are generated as restricted growth strings with three prunes:
-    two-connected fragments bound the number of blocks still touching a
-    single literal by the positions left; most-general fragments without the
-    two-connected constraint reject a second shared variable between any
-    literal pair (such clauses are never most general there); and body
-    literals of equal arity must carry non-decreasing block slices, cutting
-    permutation copies that canonical dedup would otherwise discard.
+    Most-general fragments that are not two-connected are decided by two
+    prunes, which leave exactly the members.  Completing an assignment
+    only adds incidences, so neither pruned kind has a member among its
+    completions.
 
-    Connected most-general fragments that are not two-connected, with
-    structural generalizers, prune further (``tree``): no block repeats
-    within a literal, and a literal joins no block that holds a literal
-    it is already joined to, so the literal--variable incidence graph
-    stays a forest.  Neither pruned kind has a member among its
-    completions, since completing an assignment only adds incidences:
+    - Connected fragments (``tree``): no block repeats within a literal,
+      and a literal joins no block that holds a literal it is already
+      joined to, so the literal--variable incidence graph stays a forest.
 
-    - A variable ``v`` twice in literal ``L``: rename one of those
-      occurrences that is not ``v``'s first fresh.  ``L`` still holds
-      ``v``, so every pair of literals that shared a variable still
-      does; the split keeps the predicates and sizes, so it is a valid
-      generalizer.
-    - A cycle ``L1 v1 L2 ... Lk vk L1`` (k >= 2, distinct literals and
-      variables): of ``L1`` and ``L2``, one does not hold ``v1``'s first
-      occurrence; rename ``v1`` there fresh.  A literal that held ``v1``
-      still shares it with the other of the two, and ``L1`` and ``L2``
-      stay joined along ``v2 ... vk``, so the clause stays connected and
-      the split is a valid generalizer.
+      - A variable ``v`` twice in literal ``L``: rename one of those
+        occurrences that is not ``v``'s first fresh.  ``L`` still holds
+        ``v``, so every pair of literals that shared a variable still
+        does; the split keeps the predicates and sizes, so it is a valid
+        generalizer.
+      - A cycle ``L1 v1 L2 ... Lk vk L1`` (k >= 2, distinct literals and
+        variables): of ``L1`` and ``L2``, one does not hold ``v1``'s
+        first occurrence; rename ``v1`` there fresh.  A literal that held
+        ``v1`` still shares it with the other of the two, and ``L1`` and
+        ``L2`` stay joined along ``v2 ... vk``, so the clause stays
+        connected and the split is a valid generalizer.
+      - A spanning tree with distinct predicates is most general: it has
+        no predicate split, and the literals that keep a split variable
+        ``v`` were joined to those that take the fresh one only through
+        ``v``, so every term split disconnects the clause.
 
-    The cycle test is the pair prune widened from shared literals to
-    joined ones: ``shared`` grows by everything the joined block reaches
-    (:func:`~hornreduce.graphs._reach`), not by the block alone.
+    - Unconnected fragments (``lone``): an assignment never reuses a block.
+
+      - A variable that occurs twice: rename one of its occurrences other
+        than its first fresh.  The split keeps the predicates and sizes,
+        and nothing has to stay connected or occur twice, so it is a valid
+        generalizer.
+      - Without a reused block or a repeated predicate a clause has no
+        split at all, so it is most general.
     """
     pos_lit = [li for li, a in enumerate(arities) for _ in range(a)]
     total = len(pos_lit)
     lit_start = list(itertools.accumulate(arities, initial=0))
+    n = len(arities)
     two_c = spec.two_connected
-    pair_prune = spec.most_general and not two_c
-    tree = pair_prune and spec.connected and spec.structural_generalizers
+    tree = spec.most_general and spec.connected and not two_c
+    lone = spec.most_general and not spec.connected and not two_c
+    general = spec.most_general and two_c
 
     assign = [0] * total
     masks: list[int] = []
     multi: list[int] = []
 
-    def rec(pos: int, tied: bool, shared: int, deficient: int
-            ) -> Iterator[tuple[list[int], list[int], list[int]]]:
-        # ``shared``: the literals sharing a variable with the current
-        # literal so far (its own bit included), under ``tree`` every
-        # literal joined to it; ``deficient``: the blocks holding a single
-        # literal, none at the end when two-connected
+    def rec(pos: int, tied: bool, joined: int, deficient: int) -> None:
+        # ``joined``: under ``tree``, the literals joined to the current
+        # literal so far (its own bit included); ``deficient``: the blocks
+        # holding a single literal, none at the end when two-connected
         if pos == total:
-            yield assign, masks, multi
+            if spec.connected and not _spans(masks, n):
+                return
+            if general and not _most_general(spec, masks, multi, [], n):
+                return
+            leaf(assign)
             return
         lit = pos_lit[pos]
         bit = 1 << lit
         if pos == lit_start[lit]:
             # a body literal after one of equal arity starts slice-tied
             tied = lit >= 2 and arities[lit] == arities[lit - 1]
-            shared = 0
+            joined = 0
         lo = assign[pos - arities[lit]] if tied else 0
         left = total - pos - 1
-        for b in range(lo, len(masks)):
+        # under ``lone`` every position opens a new block
+        for b in range(lo, 0 if lone else len(masks)):
             m = masks[b]
             if m & bit:
                 # the block is already in this literal: a repeat within it
@@ -277,18 +291,18 @@ def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
                 old = multi[b]
                 multi[b] = old | bit
                 assign[pos] = b
-                yield from rec(pos + 1, tied and b == lo, shared, deficient)
+                rec(pos + 1, tied and b == lo, joined, deficient)
                 multi[b] = old
                 continue
-            if pair_prune and m & shared:
-                continue  # a second variable shared with some literal
+            if tree and m & joined:
+                continue  # the block would close a cycle
             d = deficient - (m & (m - 1) == 0)
             if two_c and d > left:
                 continue
-            joined = _reach(masks, m) if tree else m
+            grown = joined | _reach(masks, m) | bit if tree else 0
             masks[b] = m | bit
             assign[pos] = b
-            yield from rec(pos + 1, tied and b == lo, shared | joined | bit, d)
+            rec(pos + 1, tied and b == lo, grown, d)
             masks[b] = m
         if not two_c or deficient < left:
             b = len(masks)
@@ -296,29 +310,11 @@ def _variable_assignments(spec: FragmentSpec, arities: tuple[int, ...]
             multi.append(0)
             assign[pos] = b
             # a new block exceeds any tied value: the slices now differ
-            yield from rec(pos + 1, False, shared | bit, deficient + 1)
+            rec(pos + 1, False, joined | bit, deficient + 1)
             masks.pop()
             multi.pop()
 
-    yield from rec(0, False, 0, 0)
-
-
-def _mask_filter(spec: FragmentSpec, masks: list[int], multi: list[int],
-                 n: int) -> bool:
-    """Whether the clauses of one variable assignment of ``n`` literals
-    pass the fragment's connectivity and most-generality tests, from the
-    assignment's literal masks (see :func:`_variable_assignments`).
-
-    Predicates do not change the clause graph, so connectivity holds for
-    every predicate pattern or none.  A most-general fragment has one
-    pattern, with distinct predicates (:func:`_pred_patterns`), so the
-    most-generality rule sees no repeat.  Two-connected assignments leave
-    no block within a single literal, so no clause built from one has a
-    pending variable.
-    """
-    if spec.connected and not _spans(masks, n):
-        return False
-    return not spec.most_general or _most_general(spec, masks, multi, [], n)
+    rec(0, False, 0, 0)
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
@@ -362,22 +358,21 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
     """All fragment members, one canonical representative each, sorted by
     body size, then body arity profile, head arity, and canonical key.
 
-    Connectivity and most-generality are decided on the literal masks each
-    variable assignment comes with (:func:`_mask_filter`), so only the
-    assignments that pass are built as clauses.  Those are confirmed by
-    :func:`most_general_in` and canonicalized; most-generality is invariant
-    under renaming, so no other clause needs a key.
+    The assignment search decides membership (:func:`_variable_assignments`),
+    so only member assignments are built as clauses.  Each clause is
+    confirmed by :func:`most_general_in`, one call per member, which keeps
+    the output right should a prune ever admit a clause that is not most
+    general, and canonicalized; most-generality is invariant under
+    renaming, so no other clause needs a key.
     """
     keys = set()
     for arities in _arity_profiles(spec):
-        n = len(arities)
         patterns = tuple(_pred_patterns(spec, arities))
         names = tuple(f"x{b}" for b in range(1, sum(arities) + 1))
         bounds = list(itertools.pairwise(
             itertools.accumulate(arities, initial=0)))
-        for assign, masks, multi in _variable_assignments(spec, arities):
-            if not _mask_filter(spec, masks, multi, n):
-                continue
+
+        def build(assign: list[int]) -> None:
             named = tuple(map(names.__getitem__, assign))
             args = [named[i:j] for i, j in bounds]
             for preds in patterns:
@@ -385,6 +380,8 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
                 c = HornClause(head, tuple(body))
                 if not spec.most_general or most_general_in(spec, c):
                     keys.add(canonical_key(c))
+
+        _variable_assignments(spec, arities, build)
     # Most survivors repeat a class, so representatives are spelled only
     # from the distinct keys.
     keyed = [(key, _representative(key)) for key in keys]

@@ -1,5 +1,6 @@
 """Shared helpers and slow corpora fixtures."""
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -10,9 +11,11 @@ from hornreduce.clauses import (
     HornClause,
     PredVar,
     Substitution,
+    canonical_key,
     fresh_names,
     parse_clause,
 )
+from hornreduce.fragments import FragmentSpec
 
 
 def cl(text: str) -> HornClause:
@@ -199,8 +202,7 @@ def single_splits(c: HornClause) -> Iterator[HornClause]:
 
 def oracle_most_general_in(spec, c: HornClause) -> bool:
     """Most-generality by building every single split and testing it."""
-    valid = oracle_structural_ok if spec.structural_generalizers else oracle_size_ok
-    return not any(valid(spec, g) for g in single_splits(c))
+    return not any(oracle_structural_ok(spec, g) for g in single_splits(c))
 
 
 def oracle_member(spec, c: HornClause) -> bool:
@@ -208,22 +210,83 @@ def oracle_member(spec, c: HornClause) -> bool:
         not spec.most_general or oracle_most_general_in(spec, c))
 
 
-def raw_clauses(spec) -> Iterator[tuple[list[int], list[int], HornClause]]:
-    """Every clause enumeration could build, before any filter: per arity
-    profile, each variable assignment under each predicate pattern, with
-    the assignment's literal masks.  The mask lists are valid until the
-    next item is drawn."""
-    from hornreduce.fragments import (
-        _arity_profiles, _pred_patterns, _variable_assignments)
-    for arities in _arity_profiles(spec):
-        patterns = tuple(_pred_patterns(spec, arities))
-        starts = list(itertools.accumulate(arities, initial=0))
-        for assign, masks, multi in _variable_assignments(spec, arities):
-            args = [tuple(f"x{b + 1}" for b in assign[i:j])
-                    for i, j in itertools.pairwise(starts)]
-            for preds in patterns:
-                head, *body = map(Atom, preds, args)
-                yield masks, multi, HornClause(head, tuple(body))
+def all_set_partition_strings(n: int):
+    """Every restricted growth string of length n (no pruning)."""
+    def rec(i, mx, acc):
+        if i == n:
+            yield tuple(acc)
+            return
+        for b in range(mx + 1):
+            acc.append(b)
+            yield from rec(i + 1, mx + 1 if b == mx else mx, acc)
+            acc.pop()
+    yield from rec(0, 0, [])
+
+
+def oracle_pred_patterns(spec, arities):
+    n = len(arities)
+    if spec.distinct_predvars or spec.most_general:
+        yield tuple(PredVar(f"P{i}", arities[i]) for i in range(n))
+        return
+    # all ways to identify equal-arity literals' predicates
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            for i in range(len(part)):
+                yield part[:i] + [[first] + part[i]] + part[i + 1:]
+            yield [[first]] + part
+    by_arity = {}
+    for i, a in enumerate(arities):
+        by_arity.setdefault(a, []).append(i)
+    for combo in itertools.product(*(partitions(by_arity[a])
+                                     for a in sorted(by_arity))):
+        blocks = sorted((blk for part in combo for blk in part), key=min)
+        assign = {}
+        for k, blk in enumerate(blocks):
+            for i in blk:
+                assign[i] = PredVar(f"P{k}", arities[blk[0]])
+        yield tuple(assign[i] for i in range(n))
+
+
+def oracle_raw_pool(spec):
+    """Every set partition of the argument positions under every predicate
+    pattern, for every arity profile within the size bounds: no pruning."""
+    body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
+    for s in body_sizes:
+        for h in range(1, spec.max_arity + 1):
+            for body_ar in itertools.combinations_with_replacement(
+                    range(1, spec.max_arity + 1), s):
+                arities = (h,) + body_ar
+                total = sum(arities)
+                for rgs in all_set_partition_strings(total):
+                    for preds in oracle_pred_patterns(spec, arities):
+                        atoms, pos = [], 0
+                        for li, a in enumerate(arities):
+                            args = tuple(f"x{rgs[pos + k] + 1}" for k in range(a))
+                            atoms.append(Atom(preds[li], args))
+                            pos += a
+                        yield HornClause(atoms[0], tuple(atoms[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _raw_classes(max_arity: int, max_body: int, one_pattern: bool
+                 ) -> tuple[HornClause, ...]:
+    spec = FragmentSpec(max_arity, max_body, distinct_predvars=one_pattern)
+    reps: dict = {}
+    for c in oracle_raw_pool(spec):
+        reps.setdefault(canonical_key(c), c)
+    return tuple(reps.values())
+
+
+def raw_clauses(spec) -> tuple[HornClause, ...]:
+    """One clause of each alpha-equivalence class of ``spec``'s raw pool
+    (:func:`oracle_raw_pool`), members and non-members alike.  Specs with
+    the same size bounds and predicate patterns share the pool."""
+    return _raw_classes(spec.max_arity, spec.max_body,
+                        spec.distinct_predvars or spec.most_general)
 
 
 @pytest.fixture(scope="session")

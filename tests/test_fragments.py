@@ -39,6 +39,7 @@ from conftest import (
     oracle_is_connected,
     oracle_member,
     oracle_pending_variables,
+    oracle_raw_pool,
     oracle_structural_ok,
     single_splits,
     oracle_most_general_in,
@@ -49,67 +50,6 @@ from conftest import (
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
-
-def all_set_partition_strings(n: int):
-    """Every restricted growth string of length n (no pruning)."""
-    def rec(i, mx, acc):
-        if i == n:
-            yield tuple(acc)
-            return
-        for b in range(mx + 1):
-            acc.append(b)
-            yield from rec(i + 1, mx + 1 if b == mx else mx, acc)
-            acc.pop()
-    yield from rec(0, 0, [])
-
-
-def oracle_pred_patterns(spec, arities):
-    n = len(arities)
-    if spec.distinct_predvars or spec.most_general:
-        yield tuple(PredVar(f"P{i}", arities[i]) for i in range(n))
-        return
-    # all ways to identify equal-arity literals' predicates
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[first] + part[i]] + part[i + 1:]
-            yield [[first]] + part
-    by_arity = {}
-    for i, a in enumerate(arities):
-        by_arity.setdefault(a, []).append(i)
-    for combo in itertools.product(*(partitions(by_arity[a])
-                                     for a in sorted(by_arity))):
-        blocks = sorted((blk for part in combo for blk in part), key=min)
-        assign = {}
-        for k, blk in enumerate(blocks):
-            for i in blk:
-                assign[i] = PredVar(f"P{k}", arities[blk[0]])
-        yield tuple(assign[i] for i in range(n))
-
-
-def oracle_raw_pool(spec):
-    """Every set partition of the argument positions under every predicate
-    pattern, for every arity profile within the size bounds: no pruning."""
-    body_sizes = (0,) if spec.max_body == 0 else range(1, spec.max_body + 1)
-    for s in body_sizes:
-        for h in range(1, spec.max_arity + 1):
-            for body_ar in itertools.combinations_with_replacement(
-                    range(1, spec.max_arity + 1), s):
-                arities = (h,) + body_ar
-                total = sum(arities)
-                for rgs in all_set_partition_strings(total):
-                    for preds in oracle_pred_patterns(spec, arities):
-                        atoms, pos = [], 0
-                        for li, a in enumerate(arities):
-                            args = tuple(f"x{rgs[pos + k] + 1}" for k in range(a))
-                            atoms.append(Atom(preds[li], args))
-                            pos += a
-                        yield HornClause(atoms[0], tuple(atoms[1:]))
-
 
 def oracle_structural_pool(spec):
     """All structurally valid clauses (most-generality not yet applied)."""
@@ -130,17 +70,11 @@ def oracle_enumerate(spec):
     pool = oracle_structural_pool(spec)
     if not spec.most_general:
         return {canonical_key(c) for c in pool}
-    if spec.structural_generalizers:
-        generalizers = pool
-    else:
-        generalizers = oracle_structural_pool(
-            FragmentSpec(spec.max_arity, spec.max_body,
-                         distinct_predvars=spec.distinct_predvars))
     keep = set()
     for c in pool:
         proper = any(
             is_instance(c, d) is not None and not alpha_equivalent(c, d)
-            for d in generalizers)
+            for d in pool)
         if not proper:
             keep.add(canonical_key(c))
     return keep
@@ -165,9 +99,8 @@ def test_enumeration_matches_oracle(spec):
     assert got == oracle_enumerate(spec)
 
 
-# Specs the golden file lacks: two-connected without connected,
-# most-general without distinct predicates, size-only generalizers with
-# two-connectedness.
+# Specs the golden file lacks: two-connected without connected, and
+# most-general without distinct predicates.
 BRUTE_SPECS = [
     FragmentSpec(2, 2, two_connected=True),
     FragmentSpec(2, 3, two_connected=True, distinct_predvars=True,
@@ -175,12 +108,9 @@ BRUTE_SPECS = [
     FragmentSpec(3, 1, two_connected=True, most_general=True),
     FragmentSpec(2, 2, most_general=True),
     FragmentSpec(2, 2, connected=True, most_general=True),
-    FragmentSpec(1, 3, most_general=True, structural_generalizers=False),
-    FragmentSpec(2, 2, two_connected=True, most_general=True,
-                 structural_generalizers=False),
+    FragmentSpec(1, 3, most_general=True),
     FragmentSpec(1, 3, connected=True, two_connected=True,
-                 distinct_predvars=True, most_general=True,
-                 structural_generalizers=False),
+                 most_general=True),
     FragmentSpec(2, 2, two_connected=True, distinct_predvars=True),
 ]
 
@@ -193,16 +123,6 @@ def test_enumeration_matches_brute_force(spec):
     want = {oracle_canonical_key(c) for c in oracle_raw_pool(spec)
             if oracle_member(spec, c)}
     assert {oracle_canonical_key(c) for c in enumerate_fragment(spec)} == want
-
-
-def test_size_only_generalizers_differ():
-    # with size-only generalizers every twice-occurring variable is splittable,
-    # which contradicts two-connectedness: the fragment empties out
-    spec = FragmentSpec(2, 2, connected=True, two_connected=True,
-                        distinct_predvars=True, most_general=True,
-                        structural_generalizers=False)
-    assert enumerate_fragment(spec) == ()
-    assert len(enumerate_fragment(horn_2c(2, 2))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +286,39 @@ RAW_SPECS = {
     "horn_2c(2,4)": horn_2c(2, 4),
     "horn(2,3)": horn(2, 3),
     "plain(2,2)": FragmentSpec(2, 2),
-    "horn_c(2,3)/size-only": FragmentSpec(
-        2, 3, connected=True, distinct_predvars=True, most_general=True,
-        structural_generalizers=False),
 }
 
 
 @pytest.mark.parametrize("name", RAW_SPECS)
 def test_mask_verdicts_match_oracles_on_raw_clauses(name):
-    """Every clause enumeration could build: the mask filter's verdict on
-    its variable assignment is the membership oracle's on the clause.
-    Two-connected specs build no clause with a pending variable, so
-    enumeration need not test for one."""
+    """One clause of each class of every set partition under every
+    predicate pattern, members and non-members alike."""
     spec = RAW_SPECS[name]
-    for masks, multi, c in raw_clauses(spec):
-        n = len(c.literals())
-        assert fragments._mask_filter(spec, masks, multi, n) == \
-            oracle_member(spec, c), (spec, c)
+    for c in raw_clauses(spec):
         verdicts_match_oracles(spec, c)
-        assert not (spec.two_connected and pending_variables(c)), c
+
+
+@pytest.mark.parametrize("name", RAW_SPECS)
+def test_assignment_search_hands_out_members_only(name):
+    """Every clause built from an assignment the search hands its leaf is
+    a member by the split-building oracle: the search decides membership."""
+    spec = RAW_SPECS[name]
+    built = []
+    for arities in fragments._arity_profiles(spec):
+        patterns = tuple(fragments._pred_patterns(spec, arities))
+        bounds = list(itertools.pairwise(
+            itertools.accumulate(arities, initial=0)))
+
+        def check(assign):
+            args = [tuple(f"x{b + 1}" for b in assign[i:j]) for i, j in bounds]
+            for preds in patterns:
+                head, *body = map(Atom, preds, args)
+                c = HornClause(head, tuple(body))
+                assert oracle_member(spec, c), (spec, c)
+                built.append(c)
+
+        fragments._variable_assignments(spec, arities, check)
+    assert built
 
 
 @st.composite
@@ -404,8 +338,7 @@ def mixed_clauses(draw):
 @example(cl("P1(a) :- P1(b)."), FragmentSpec(1, 1, connected=True))
 @given(mixed_clauses(),
        st.builds(FragmentSpec, st.integers(1, 3), st.integers(0, 4),
-                 st.booleans(), st.booleans(), st.booleans(), st.booleans(),
-                 st.booleans()))
+                 st.booleans(), st.booleans(), st.booleans(), st.booleans()))
 def test_mask_verdicts_match_oracles_on_random_clauses(c, spec):
     verdicts_match_oracles(spec, c)
 
@@ -454,11 +387,73 @@ def test_connected_most_general_members_are_literal_variable_trees(case):
         assert canonical_key(c) in keys, (spec, c)
 
 
+@st.composite
+def lone_rule_cases(draw):
+    """A clause of up to four body atoms over six variables, arities 1 to
+    3, whose predicates mostly differ, and an unconnected most-general
+    spec that is not two-connected."""
+    atom = st.builds(
+        lambda name, args: Atom.of(f"{name}{len(args)}", *args),
+        st.sampled_from("PQRSTU"),
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3))
+    c = HornClause(draw(atom), tuple(draw(st.lists(atom, max_size=4))))
+    spec = FragmentSpec(draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+                        distinct_predvars=draw(st.booleans()),
+                        most_general=True)
+    return c, spec
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(lone_rule_cases())
+def test_unconnected_most_general_members_use_each_variable_once(case):
+    # The rule behind enumeration's lone prune: in these specs a clause is
+    # a member iff it passes the structural tests, repeats no predicate
+    # and no variable occurs twice.  Enumeration, which hands out only
+    # assignments that reuse no block, still lists every member.
+    c, spec = case
+    preds = [a.pred for a in c.literals()]
+    args = [v for a in c.literals() for v in a.args]
+    lone = oracle_structural_ok(spec, c) and \
+        len(set(preds)) == len(preds) and len(set(args)) == len(args)
+    assert oracle_member(spec, c) == lone, (spec, c)
+    if lone:
+        keys = {canonical_key(m) for m in enumerate_fragment(spec)}
+        assert canonical_key(c) in keys, (spec, c)
+
+
+def test_enumeration_builds_one_clause_per_lone_assignment(monkeypatch):
+    """horn(3,2) has one member per arity profile, 27, and a cold
+    enumeration builds each once and spells its representative once."""
+    built = []
+    check = HornClause.__post_init__
+    monkeypatch.setattr(HornClause, "__post_init__",
+                        lambda c: built.append(c) or check(c))
+    got = enumerate_fragment.__wrapped__(horn(3, 2))
+    assert len(got) == 27
+    assert len(built) <= 2 * 27
+
+
+def test_enumeration_confirms_every_member(monkeypatch):
+    """The search hands out only member assignments, so the confirming
+    most_general_in call never rejects one."""
+    verdicts = []
+    confirm = fragments.most_general_in
+    monkeypatch.setattr(fragments, "most_general_in",
+                        lambda spec, c: verdicts.append(confirm(spec, c))
+                        or verdicts[-1])
+    for spec in [horn_c(2, 3), horn_2c(2, 3), horn(2, 3),
+                 FragmentSpec(3, 1, two_connected=True, most_general=True),
+                 FragmentSpec(2, 2, connected=True, most_general=True)]:
+        got = enumerate_fragment.__wrapped__(spec)
+        assert got == enumerate_fragment(spec)
+    assert verdicts and all(verdicts)
+
+
 def test_enumeration_canonicalizes_only_survivors(monkeypatch):
     """A cold horn_c(2,3) enumeration keys the 370 variable assignments
-    that pass the connectivity and most-generality filters, not all 831
-    connected ones, and builds a clause only for those and for the 282
-    members' representatives, not for all 2,189 assignments."""
+    the search hands out as members, not all 831 connected ones, and
+    builds a clause only for those and for the 282 members'
+    representatives, not for all 2,189 assignments."""
     calls, built = [], []
     key = fragments.canonical_key
     monkeypatch.setattr(fragments, "canonical_key",
@@ -480,13 +475,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "enumeration_golden.json")
                     .read_text())["fragments"]
 
 
-def golden_id(entry):
-    spec = entry["spec"]
-    flags = [k for k, v in spec.items() if v is True]
-    return ",".join([str(spec["max_arity"]), str(spec["max_body"]), *flags])
-
-
-@pytest.mark.parametrize("entry", GOLDEN, ids=golden_id)
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: entry["id"])
 def test_enumeration_matches_golden(entry, request):
     spec = FragmentSpec(**entry["spec"])
     # horn_c(3,3) comes from the shared session corpus, so it is enumerated

@@ -28,7 +28,8 @@ CORPUS_SEED = 6
 CORPUS_SIZE = 20000
 
 # FragmentSpec keyword arguments besides the size bounds: horn, horn_c,
-# horn_2c, and the plain connected and distinct-predicate fragments.
+# horn_2c, the plain connected and distinct-predicate fragments, and the
+# two-connected but not connected most-general one.
 _KINDS = {
     "horn": {"distinct_predvars": True, "most_general": True},
     "horn_c": {"connected": True, "distinct_predvars": True,
@@ -36,12 +37,14 @@ _KINDS = {
     "horn_2c": {"connected": True, "two_connected": True,
                 "distinct_predvars": True, "most_general": True},
     "connected": {"connected": True, "distinct_predvars": True},
+    "general_2c": {"two_connected": True, "most_general": True},
 }
 SPECS = [
     ("horn_c", 1, 3), ("horn_c", 1, 4), ("horn_c", 2, 2), ("horn_c", 2, 3),
     ("horn_c", 2, 4), ("horn_c", 3, 1), ("horn_c", 3, 2), ("horn_2c", 2, 2),
     ("horn_2c", 2, 3), ("horn_2c", 2, 4), ("horn", 2, 2), ("horn", 2, 3),
-    ("connected", 2, 2), ("connected", 2, 3)]
+    ("horn", 3, 2), ("connected", 2, 2), ("connected", 2, 3),
+    ("general_2c", 3, 1)]
 
 # Run with a tree's src/ first on sys.path; reads the corpus and specs as
 # JSON on stdin and writes each clause's key and each spec's digest.
