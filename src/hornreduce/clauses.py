@@ -137,9 +137,7 @@ class HornClause:
         """Grammar form ``H(..) :- B1(..), B2(..).`` — definite clauses only."""
         if self.head is None:
             raise ValueError("headless clauses have no text form")
-        if not self.body:
-            return f"{self.head.text()}."
-        return f"{self.head.text()} :- {', '.join(a.text() for a in self.body)}."
+        return str(self)
 
     def __str__(self) -> str:
         head = self.head.text() if self.head is not None else ""
@@ -416,7 +414,7 @@ def canonical(c: HornClause) -> tuple[tuple, HornClause]:
 
 def alpha_equivalent(c: HornClause, d: HornClause) -> bool:
     """True iff the clauses are equal up to renaming and body reordering."""
-    return canonical_key(c) == canonical_key(d)
+    return c == d or canonical_key(c) == canonical_key(d)
 
 
 # ---------------------------------------------------------------------------

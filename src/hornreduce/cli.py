@@ -87,18 +87,13 @@ def _json_text(payload) -> str:
     With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder;
     this writes the same layout in one pass.  It accepts dicts with str
     keys, lists, tuples (as arrays), str, int, bool and None; anything
-    else, floats and sets included, is a TypeError.
-
-    A dict that occurs more than once at one depth is written once and
-    its pieces copied: ``proof_to_json_dict`` shares each step's unifier
-    dict among the spliced proofs that hold the step.  The payload keeps
-    every dict alive while it is written, so ids stay distinct.
+    else, floats and sets included, is a TypeError.  It keeps no memo: a
+    value that occurs twice is written twice, and the fields of a proof
+    step are built once, by :func:`~hornreduce.resolution.proof_to_json_dict`.
     """
     out: list[str] = []
     append = out.append
     encode = json.encoder.encode_basestring_ascii
-    # (id(dict), indent) -> the slice of out that writes it
-    written: dict[tuple[int, str], tuple[int, int]] = {}
 
     def emit(obj, indent: str) -> None:
         if isinstance(obj, str):
@@ -107,11 +102,6 @@ def _json_text(payload) -> str:
             if not obj:
                 append("{}")
                 return
-            span = written.get((id(obj), indent))
-            if span is not None:
-                out.extend(out[span[0]:span[1]])
-                return
-            start = len(out)
             inner = indent + "  "
             sep, comma = "{" + inner, "," + inner
             for key in sorted(obj):
@@ -128,7 +118,6 @@ def _json_text(payload) -> str:
                 sep = comma
             append(indent)
             append("}")
-            written[id(obj), indent] = (start, len(out))
         elif isinstance(obj, (list, tuple)):
             if not obj:
                 append("[]")

@@ -359,13 +359,18 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
     body size, then body arity profile, head arity, and canonical key.
 
     The assignment search decides membership (:func:`_variable_assignments`),
-    so only member assignments are built as clauses.  Each clause is
-    confirmed by :func:`most_general_in`, one call per member, which keeps
-    the output right should a prune ever admit a clause that is not most
-    general, and canonicalized; most-generality is invariant under
-    renaming, so no other clause needs a key.
+    so only member assignments are built as clauses, and only they are
+    canonicalized; most-generality is invariant under renaming, so no
+    other clause needs a key.  Members that the tree and lone prunes admit
+    are confirmed by :func:`most_general_in`, one call per member
+    assignment, since those prunes are proved only in a docstring.
+    Two-connected members are not: the search ran :func:`_most_general`
+    on their assignment, with the masks and literal count that
+    ``most_general_in`` would pass and no repeated predicate, so a
+    confirm could only agree.
     """
     keys = set()
+    confirm = spec.most_general and not spec.two_connected
     for arities in _arity_profiles(spec):
         patterns = tuple(_pred_patterns(spec, arities))
         names = tuple(f"x{b}" for b in range(1, sum(arities) + 1))
@@ -378,7 +383,7 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
             for preds in patterns:
                 head, *body = map(Atom, preds, args)
                 c = HornClause(head, tuple(body))
-                if not spec.most_general or most_general_in(spec, c):
+                if not confirm or most_general_in(spec, c):
                     keys.add(canonical_key(c))
 
         _variable_assignments(spec, arities, build)

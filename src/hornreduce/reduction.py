@@ -329,22 +329,17 @@ def _cut_hits(c: HornClause, fragment: FragmentSpec, arity_cap: int,
               kind: str, overlap_cap: int, exhaustive: bool
               ) -> Iterator[_Hit]:
     """Replay every candidate cut of ``c`` forward — resolve on the pivot,
-    factor the overlap copies — and yield those covering ``c``."""
+    factor the overlap copies — and yield those covering ``c``.  The pivot
+    is ``second``'s head, and each factor pair two copies of one atom;
+    equal-arity atoms always unify, so no step fails."""
     for first, second, fpairs in _cut_premises(c, fragment, arity_cap,
                                                overlap_cap, exhaustive):
-        step = resolve(first, second, 0, kind=kind)
-        if step is None:
-            continue
-        steps = [step]
+        steps = [resolve(first, second, 0, kind=kind)]
         for i, j in fpairs:
-            fs = factor(steps[-1].conclusion, i, j)
-            if fs is None:
-                break
-            steps.append(fs)
-        else:
-            sigma = is_instance(c, steps[-1].conclusion)
-            if sigma is not None:
-                yield steps, sigma
+            steps.append(factor(steps[-1].conclusion, i, j))
+        sigma = is_instance(c, steps[-1].conclusion)
+        if sigma is not None:
+            yield steps, sigma
 
 
 # ---------------------------------------------------------------------------

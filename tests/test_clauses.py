@@ -270,6 +270,19 @@ def test_headless_clause_canonicalizes():
     assert not alpha_equivalent(c, cl("P(y) :- B(y), A(y,z)."))
 
 
+def test_equal_clauses_are_alpha_equivalent_without_keys(monkeypatch):
+    calls = []
+    serialize = hornreduce.clauses._canonical_serialization
+    monkeypatch.setattr(hornreduce.clauses, "_canonical_serialization",
+                        lambda c: calls.append(c) or serialize(c))
+    c = cl("P(x,y) :- Q(x,z), R(z,y).")
+    assert alpha_equivalent(c, c)
+    assert alpha_equivalent(c, cl("P(x,y) :- Q(x,z), R(z,y)."))
+    assert calls == []
+    assert alpha_equivalent(c, cl("P(a,b) :- R(c,b), Q(a,c)."))
+    assert len(calls) == 2
+
+
 def symmetric_body(n: int, head: str = "x,y") -> HornClause:
     """``P0(head) :- P1(x,y), ..., Pn(x,y).``: every body atom is
     interchangeable with every other."""

@@ -30,6 +30,7 @@ from hornreduce.reduction import (
     hnr_family,
     triadic_counterexample,
 )
+from hornreduce.resolution import factor, resolve
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "cut_stream_golden.json"
 CLASSES = {"any": horn, "c": horn_c, "2c": horn_2c}
@@ -127,3 +128,28 @@ def test_family3_check_is_frozen():
     for case in cases:
         code, out, _ = run(case["argv"])
         assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_every_candidate_resolves_and_factors(corpus_c24, corpus_2c24):
+    """``first``'s pivot is ``second``'s head and each factor pair two
+    copies of one overlap atom, so ``_cut_hits`` never meets a failed
+    inference: on every candidate, resolving on the pivot and then each
+    factoring give a step."""
+    clauses = ([c_base(), triadic_counterexample()]
+               + [c for c in corpus_c24 if c.body_size >= 3][::100]
+               + [c for c in corpus_2c24 if c.body_size >= 3][::80])
+    n = 0
+    for c in clauses:
+        for build in CLASSES.values():
+            frag = build(c.max_arity(), c.body_size)
+            for overlap in (0, 1, 2):
+                for exhaustive in POLICIES.values():
+                    for first, second, fpairs in _cut_premises(
+                            c, frag, frag.max_arity, overlap, exhaustive):
+                        step = resolve(first, second, 0)
+                        assert step is not None, (first, second)
+                        for i, j in fpairs:
+                            step = factor(step.conclusion, i, j)
+                            assert step is not None, (first, second, i, j)
+                        n += 1
+    assert (len(clauses), n) == (27, 13170)

@@ -434,19 +434,38 @@ def test_enumeration_builds_one_clause_per_lone_assignment(monkeypatch):
 
 
 def test_enumeration_confirms_every_member(monkeypatch):
-    """The search hands out only member assignments, so the confirming
-    most_general_in call never rejects one."""
+    """Tree and lone members are confirmed by most_general_in, one call per
+    member assignment (horn_c(2,3) has 370), and the search hands out only
+    members, so the confirm never rejects one."""
     verdicts = []
     confirm = fragments.most_general_in
     monkeypatch.setattr(fragments, "most_general_in",
                         lambda spec, c: verdicts.append(confirm(spec, c))
                         or verdicts[-1])
-    for spec in [horn_c(2, 3), horn_2c(2, 3), horn(2, 3),
-                 FragmentSpec(3, 1, two_connected=True, most_general=True),
+    got = enumerate_fragment.__wrapped__(horn_c(2, 3))
+    assert len(verdicts) == 370
+    assert got == enumerate_fragment(horn_c(2, 3))
+    for spec in [horn(2, 3),
                  FragmentSpec(2, 2, connected=True, most_general=True)]:
         got = enumerate_fragment.__wrapped__(spec)
         assert got == enumerate_fragment(spec)
-    assert verdicts and all(verdicts)
+    assert len(verdicts) > 370 and all(verdicts)
+
+
+@pytest.mark.parametrize("spec", [
+    horn_2c(2, 3), FragmentSpec(3, 1, two_connected=True, most_general=True)])
+def test_two_connected_enumeration_confirms_nothing(monkeypatch, spec):
+    """The search already ran _most_general on each two-connected member
+    assignment, so enumeration makes no most_general_in call; every member
+    it lists passes one afterwards."""
+    calls = []
+    confirm = fragments.most_general_in
+    monkeypatch.setattr(fragments, "most_general_in",
+                        lambda spec, c: calls.append(c) or confirm(spec, c))
+    got = enumerate_fragment.__wrapped__(spec)
+    assert calls == []
+    assert got and all(confirm(spec, c) for c in got)
+    assert got == enumerate_fragment(spec)
 
 
 def test_enumeration_canonicalizes_only_survivors(monkeypatch):

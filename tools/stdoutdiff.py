@@ -7,10 +7,13 @@ Usage, inside a git checkout::
 Extracts ``src/`` at commit ``REF`` into a temporary directory with ``git
 archive`` and runs it and this checkout's ``src/`` in one subprocess each.
 Both run the same fixed command lines through ``hornreduce.cli.run``:
-``reduce --fragment`` of six fragments in both modes, one ``check`` and
-one ``derive`` that print proofs.  Prints a ``mismatch`` row per command
-line whose exit code or stdout differs, then ``<mismatches>/<compared>``,
-and exits 1 on any mismatch, 0 when there is none.
+``reduce --fragment`` of six fragments in both modes, three ``check``
+lines (a standard-mode proof, and the partition decider's and the
+forward oracle's sld witnesses for one clause), one ``enumerate --json``
+of a two-connected fragment and one ``derive`` that prints a proof.
+Prints a ``mismatch`` row per command line whose exit code or stdout
+differs, then ``<mismatches>/<compared>``, and exits 1 on any mismatch,
+0 when there is none.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ ARGV = [
 ] + [
     ["check", "--clause", "P0(x1,x2) :- P1(x1,x3), P2(x1,x4), P3(x2,x3), "
      "P4(x2,x4), P5(x3,x4).", "--mode", "standard", "--fragment-class", "c"],
+] + [
+    ["check", "--clause", "P0(x1,x2) :- P1(x1,x2), P2(x2,x3), P3(x3,x1).",
+     "--mode", "sld", "--fragment-class", "c"] + method
+    for method in ([], ["--method", "forward"])
+] + [
+    ["enumerate", "--arity", "2", "--body", "3", "--two-connected",
+     "--most-general", "--json"],
+    # last: tests/test_tools.py runs ARGV[-1], which reads THEORY
     ["derive", "--theory", "THEORY", "--goal",
      "P0(z) :- P1(z), P2(z), P3(z), P4(z).", "--max-depth", "2",
      "--mode", "standard"],
