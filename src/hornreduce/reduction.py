@@ -13,9 +13,12 @@ a sound heuristic otherwise.  A cut is a pair of body bitmasks and each
 variable has the mask of the body atoms holding it (:func:`_var_masks`), so
 its distinct-literal count on a side is one popcount; a cut that leaves more
 variables pending than a pivot can carry is dropped before any premise is
-built.  The *forward oracle* resolves all pairs of smaller fragment members
-and instance-matches the results (:func:`_pool_scan`), replaying cuts with
-exhaustive pivot argument sets when the pool is too large to enumerate.
+built, and under the default pivot policy so is every cut of a branch of
+the cut walk whose atoms decided so far already leave too many variables
+pending (:func:`_side2_picks`).  The *forward oracle* resolves all pairs
+of smaller fragment members and instance-matches the results
+(:func:`_pool_scan`), replaying cuts with exhaustive pivot argument sets
+when the pool is too large to enumerate.
 
 :func:`reduce_theory` greedily removes derivable clauses from a finite
 theory, recomposing every removal proof so that it replays from the final
@@ -257,6 +260,51 @@ def _pivot_arg_sets(masks: _Masks, am: int, bm: int, fragment: FragmentSpec,
             if m & bm and (m & am or h or not connected)][:1]
 
 
+def _light_sets(masks: _Masks, om: int, rest: tuple[int, ...]
+                ) -> tuple[tuple[int, ...], int]:
+    """The variables of ``masks`` in at most three literals and in none of
+    the shared atoms ``om``, as bitmasks over them: the set each atom bit of
+    ``rest`` holds, and the set the head holds (see :func:`_side2_picks`)."""
+    light = [(m, h) for _, m, h in masks
+             if m.bit_count() + h <= 3 and not m & om]
+    return (tuple(sum(1 << k for k, (m, _) in enumerate(light) if m & bit)
+                  for bit in rest),
+            sum(h << k for k, (_, h) in enumerate(light)))
+
+
+def _side2_picks(rest: tuple[int, ...], size: int, holds: tuple[int, ...],
+                 head: int, cap: int, width: int) -> Iterator[int]:
+    """Side-2 masks of ``size`` bits of ``rest``, in the order of
+    ``itertools.combinations(rest, size)``, without the branches that can
+    only yield cuts with more than ``cap`` pending variables.
+
+    The *light* variables sit in at most three literals and in no shared
+    atom; one is pending exactly when it crosses the cut, and once the
+    atoms decided so far put it on both sides it crosses in every
+    completion.  ``holds[i]`` is the set of light variables atom ``rest[i]``
+    holds and ``head`` the set the head holds, as bitmasks over the light
+    variables.  The walk decides ``rest`` in order, "take" (side 2) before
+    "skip" (side 1), and drops a branch once more than ``cap`` light
+    variables cross.  That needs the taken atoms to hold more than ``cap``
+    arguments, ``width`` being the most one atom holds, so only then is it
+    counted.
+    """
+    n = len(rest)
+    # (next index, atoms taken, side-2 mask, light variables on side 2 and
+    # on side 1); the take is pushed last, so it is walked first
+    stack = [(0, 0, 0, 0, head)]
+    while stack:
+        i, j, s2, on2, on1 = stack.pop()
+        if j * width > cap and (on2 & on1).bit_count() > cap:
+            continue
+        if j == size:
+            yield s2
+            continue
+        if n - i > size - j:
+            stack.append((i + 1, j, s2, on2, on1 | holds[i]))
+        stack.append((i + 1, j + 1, s2 | rest[i], on2 | holds[i], on1))
+
+
 def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
                   overlap_cap: int, exhaustive: bool
                   ) -> Iterator[tuple[HornClause, HornClause,
@@ -274,7 +322,11 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
     are produced.
 
     Cuts are enumerated as body masks (see ``_Masks``); the side tuples and
-    premises are built only for cuts that have a pivot argument set.
+    premises are built only for cuts that have a pivot argument set.  Under
+    the default pivot policy, a side-2 size whose picks before the last can
+    carry more than ``arity_cap`` variables is walked by
+    :func:`_side2_picks`, which drops whole branches of cuts that would
+    leave too many variables pending.
     """
     b = c.body_size
     if c.head is None or b < 2:
@@ -290,15 +342,29 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
     full = (1 << b) - 1
     pivot_name = next(fresh_names("Q", {p.name for p in c.pred_vars()}))
     positions = tuple(range(b))
+    # The exhaustive policy has no pending bound, so its walk never prunes.
+    # An atom wider than the class arity fails membership on either side,
+    # so no atom that can yield a premise holds more arguments than that.
+    width = 0 if exhaustive else fragment.max_arity
     for o_size in range(min(overlap_cap, b) + 1):
         for overlap in itertools.combinations(positions, o_size):
             om = sum(1 << p for p in overlap)
             rest = tuple(1 << p for p in positions if p not in overlap)  # bits
+            light = None
             for b_only_size in range(2, len(rest) + 1):
                 if o_size + b_only_size >= b:
                     break
-                for b_only in itertools.combinations(rest, b_only_size):
-                    bm = om + sum(b_only)
+                # a check at the last pick only repeats the cut's own
+                # pending test, so walk only where an earlier one can prune
+                if (b_only_size - 1) * width <= arity_cap:
+                    picks = map(sum, itertools.combinations(rest, b_only_size))
+                else:
+                    if light is None:
+                        light = _light_sets(masks, om, rest)
+                    picks = _side2_picks(rest, b_only_size, *light,
+                                         arity_cap, width)
+                for b_only in picks:
+                    bm = om + b_only
                     am = (full ^ bm) | om
                     arg_sets = _pivot_arg_sets(masks, am, bm, fragment,
                                                arity_cap, exhaustive)
@@ -602,8 +668,15 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     verification that no core clause is derivable from the others within
     the bounds.  Removal proofs are recomposed to replay from the core
     alone; a clause whose proof cannot be recomposed is reinstated (which
-    never happens for the searches used here, but keeps the report sound).
-    A negative bound is a ValueError.
+    never happens for the searches used here, but keeps the report sound)
+    and the passes run again.  A negative bound is a ValueError.
+
+    In ``sld`` mode at depth at most 1 one pass is already stable.  That
+    search is complete and monotone in its premises: a clause it missed
+    from the survivors of its visit stays missed from the fewer survivors
+    of any later pass.  And each such miss is ``truncated`` (depths beyond
+    the cap were never explored), so every clause a later pass would search
+    has already set ``bounds_hit``, and that pass could change nothing.
     """
     _check_bounds(max_depth, max_body, max_clauses)
     t = theory if isinstance(theory, Theory) else Theory(theory)
@@ -612,6 +685,7 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     survivors = t.ordered(_removal_order)
     removed: list[tuple[HornClause, Proof]] = []
     bounds_hit = False
+    repeat = mode != "sld" or max_depth > 1
     while True:
         changed = True
         while changed:
@@ -626,7 +700,7 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
                 if res.found:
                     survivors = rest
                     removed.append((clause, res.proof))
-                    changed = True
+                    changed = repeat
                 elif res.truncated:
                     bounds_hit = True
         ok, out = _recompose(survivors, removed)

@@ -1,6 +1,7 @@
 """Reducibility deciders, theory reduction, and the named study clauses."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,8 @@ from hornreduce.reduction import (
     ReductionReport,
     _closed_proof,
     _cut_hits,
+    _recompose,
+    _removal_order,
     c_base,
     cbase_resolution_reduction,
     cut_pending,
@@ -49,6 +52,7 @@ from hornreduce.resolution import (
     Proof,
     replay_proof,
     resolve,
+    search_derivation,
 )
 
 from conftest import cl
@@ -676,6 +680,84 @@ def test_reduce_theory_reinstates_a_clause_whose_proof_fails(monkeypatch):
     assert len(report.removed) == len(theory) - 1
     for _, proof in report.removed:
         assert replay_proof(proof, report.core)
+
+
+def reduce_until_stable(theory, mode, max_depth):
+    """``reduce_theory`` with passes repeated until one removes nothing, in
+    every mode; no proof here fails to recompose.  Returns the core, the
+    removals, ``bounds_hit``, the number of passes and of searches."""
+    survivors = Theory(theory).ordered(_removal_order)
+    removed, bounds_hit, passes, searches = [], False, 0, 0
+    changed = True
+    while changed:
+        changed = False
+        passes += 1
+        for clause in list(survivors):
+            rest = survivors.without(clause)
+            if not rest:
+                continue
+            searches += 1
+            res = search_derivation(rest, clause, max_depth, mode=mode)
+            if res.found:
+                survivors = rest
+                removed.append((clause, res.proof))
+                changed = True
+            elif res.truncated:
+                bounds_hit = True
+    ok, out = _recompose(survivors, removed)
+    assert ok
+    return list(survivors), out, bounds_hit, passes, searches
+
+
+def check_against_stable_passes(monkeypatch, theory, mode, depth):
+    """Compare ``reduce_theory`` with :func:`reduce_until_stable`; return
+    the reference's passes and searches and ``reduce_theory``'s searches."""
+    calls = []
+    monkeypatch.setattr(hornreduce.reduction, "search_derivation",
+                        lambda *a, **k: calls.append(1)
+                        or search_derivation(*a, **k))
+    report = reduce_theory(theory, mode, max_depth=depth)
+    monkeypatch.undo()
+    core, removed, bounds_hit, passes, searches = \
+        reduce_until_stable(theory, mode, depth)
+    assert list(report.core) == core
+    assert list(report.removed) == removed  # clauses and proofs
+    assert report.bounds_hit == bounds_hit
+    return passes, searches, len(calls)
+
+
+def test_sld_reduction_to_depth_one_is_stable_after_one_pass(monkeypatch):
+    # The depth <= 1 sld search is complete and monotone in its premises,
+    # and each of its misses is truncated, so the passes the reference
+    # repeats after a removal find nothing and change no bounds_hit.
+    rng = random.Random(22)
+    saved = 0
+    for spec in (horn_c(2, 2), horn_2c(2, 3)):
+        pool = enumerate_fragment(spec)
+        for _ in range(20):
+            theory = rng.sample(pool, rng.randint(2, 24))
+            for depth in (0, 1):
+                _, searches, made = check_against_stable_passes(
+                    monkeypatch, theory, "sld", depth)
+                assert made <= searches
+                saved += searches - made
+    assert saved > 0
+
+
+@pytest.mark.parametrize("mode, depth", [("standard", 1), ("sld", 2)])
+def test_deeper_or_standard_reduction_repeats_passes(monkeypatch, mode, depth):
+    # These searches are not monotone-complete, so a pass after a removal
+    # still runs, and reduce_theory makes every search the reference makes.
+    rng = random.Random(7)
+    pool = enumerate_fragment(horn_c(2, 2))
+    repeated = 0
+    for _ in range(4):
+        theory = rng.sample(pool, 8)
+        passes, searches, made = check_against_stable_passes(
+            monkeypatch, theory, mode, depth)
+        assert made == searches
+        repeated += passes > 1
+    assert repeated
 
 
 @pytest.mark.parametrize("bound", ["max_depth", "max_body", "max_clauses"])

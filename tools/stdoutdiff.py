@@ -7,10 +7,12 @@ Usage, inside a git checkout::
 Extracts ``src/`` at commit ``REF`` into a temporary directory with ``git
 archive`` and runs it and this checkout's ``src/`` in one subprocess each.
 Both run the same fixed command lines through ``hornreduce.cli.run``:
-``reduce --fragment`` of six fragments in both modes, three ``check``
-lines (a standard-mode proof, and the partition decider's and the
-forward oracle's sld witnesses for one clause), one ``enumerate --json``
-of a two-connected fragment and one ``derive`` that prints a proof.
+``reduce --fragment`` of six fragments in both modes, five ``check``
+lines (a standard-mode proof, the partition decider's and the forward
+oracle's sld witnesses for one clause, the first depth-2 extension family
+member in sld and a 12-literal open chain in standard mode, both
+irreducible after the whole cut walk), one ``enumerate --json`` of a
+two-connected fragment and one ``derive`` that prints a proof.
 Prints a ``mismatch`` row per command line whose exit code or stdout
 differs, then ``<mismatches>/<compared>``, and exits 1 on any mismatch,
 0 when there is none.
@@ -38,6 +40,13 @@ ARGV = [
     ["check", "--clause", "P0(x1,x2) :- P1(x1,x2), P2(x2,x3), P3(x3,x1).",
      "--mode", "sld", "--fragment-class", "c"] + method
     for method in ([], ["--method", "forward"])
+] + [
+    ["check", "--clause", "P0(x1,x2) :- P1(x1,x3), P2(x1,x4), P3(x2,x3), "
+     "P4(x4,x5), P5(x5,x3), P6(x5,x6), P7(x6,x7), P8(x6,x8), P9(x7,x2), "
+     "P10(x7,x8), P11(x8,x4).", "--mode", "sld", "--fragment-class", "2c"],
+    ["check", "--clause", "P0(x0) :- " + ", ".join(
+        f"P{i}(x{i - 1},x{i})" for i in range(1, 12)) + ".",
+     "--mode", "standard"],
 ] + [
     ["enumerate", "--arity", "2", "--body", "3", "--two-connected",
      "--most-general", "--json"],
