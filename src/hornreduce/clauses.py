@@ -177,7 +177,15 @@ class Substitution:
         return self.term_map.get(t, t)
 
     def atom(self, a: Atom) -> Atom:
-        return Atom(self.pred(a.pred), tuple(self.term_map.get(x, x) for x in a.args))
+        """``a`` under the substitution: ``a`` itself when the substitution
+        fixes it, else a new atom.  Identity entries are dropped, so a
+        mapped predicate is never ``a.pred`` itself."""
+        tm = self.term_map
+        args = tuple([tm.get(x, x) for x in a.args])
+        pred = self.pred_map.get(a.pred, a.pred)
+        if pred is a.pred and args == a.args:
+            return a
+        return Atom(pred, args)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Substitution):
@@ -384,12 +392,24 @@ def _canonical_serialization(c: HornClause) -> tuple:
     return head is not None, best
 
 
-def _representative(key: tuple) -> HornClause:
-    # The clause a canonical key spells: atom (p, t1, ..., tk) is
-    # P<p>(x<t1>, ..., x<tk>), head first when the key's flag says so.
-    has_head, atoms = key
-    lits = [Atom(PredVar(f"P{a[0]}", len(a) - 1), tuple([f"x{t}" for t in a[1:]]))
-            for a in atoms]
+def _representative(key: tuple, atoms: dict | None = None) -> HornClause:
+    """The clause a canonical key spells: atom ``(p, t1, ..., tk)`` is
+    ``P<p>(x<t1>, ..., x<tk>)``, head first when the key's flag says so.
+
+    ``atoms`` maps the atom keys already spelled to their atoms and gains
+    the new ones, so representatives spelled through one table share
+    their atoms; a caller keeps it for one call only.
+    """
+    if atoms is None:
+        atoms = {}
+    has_head, keys = key
+    lits = []
+    for a in keys:
+        atom = atoms.get(a)
+        if atom is None:
+            atom = atoms[a] = Atom(PredVar(f"P{a[0]}", len(a) - 1),
+                                   tuple([f"x{t}" for t in a[1:]]))
+        lits.append(atom)
     return HornClause(lits[0] if has_head else None, tuple(lits[has_head:]))
 
 
@@ -541,13 +561,13 @@ def rename_apart(c: HornClause, avoid_terms: Iterable[str] = (),
     Deterministic: fresh names are drawn in the clause's traversal order, so
     the same inputs always rename identically.
     """
-    avoid_t = set(avoid_terms) | set(c.term_vars())
-    avoid_p = set(avoid_preds) | {p.name for p in c.pred_vars()}
-    terms = fresh_names("v", avoid_t)
-    preds = fresh_names("Q", avoid_p)
+    tvars = c.term_vars()
+    pvars = c.pred_vars()
+    terms = fresh_names("v", set(avoid_terms).union(tvars))
+    preds = fresh_names("Q", set(avoid_preds).union(p.name for p in pvars))
     sub = Substitution(
-        {p: PredVar(next(preds), p.arity) for p in c.pred_vars()},
-        {v: next(terms) for v in c.term_vars()},
+        {p: PredVar(next(preds), p.arity) for p in pvars},
+        {v: next(terms) for v in tvars},
     )
     return apply_substitution(c, sub), sub
 

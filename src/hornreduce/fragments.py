@@ -356,7 +356,16 @@ def _pred_patterns(spec: FragmentSpec, arities: tuple[int, ...]
 @lru_cache(maxsize=None)
 def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
     """All fragment members, one canonical representative each, sorted by
-    body size, then body arity profile, head arity, and canonical key.
+    body size, then body arity profile, head arity, and canonical key;
+    those are read from the key, whose atoms are the head and then the
+    body, each one entry longer than its arity.
+
+    Each atom is built once per call.  The clauses of one arity profile
+    take their atoms from a table keyed by predicate and argument blocks,
+    so only the clause is new per assignment, and the representatives are
+    spelled through one table of atom keys (:func:`_representative`).
+    The tables live for the call only; every atom and clause still runs
+    its own check when it is built.
 
     The assignment search decides membership (:func:`_variable_assignments`),
     so only member assignments are built as clauses, and only they are
@@ -376,27 +385,35 @@ def enumerate_fragment(spec: FragmentSpec) -> tuple[HornClause, ...]:
         names = tuple(f"x{b}" for b in range(1, sum(arities) + 1))
         bounds = list(itertools.pairwise(
             itertools.accumulate(arities, initial=0)))
+        # per predicate, its atoms by argument blocks
+        atoms: dict = {p: {} for preds in patterns for p in preds}
+        tables = [[atoms[p] for p in preds] for preds in patterns]
 
         def build(assign: list[int]) -> None:
-            named = tuple(map(names.__getitem__, assign))
-            args = [named[i:j] for i, j in bounds]
-            for preds in patterns:
-                head, *body = map(Atom, preds, args)
-                c = HornClause(head, tuple(body))
+            for preds, table in zip(patterns, tables):
+                lits = []
+                for p, by_blocks, (i, j) in zip(preds, table, bounds):
+                    blocks = tuple(assign[i:j])
+                    atom = by_blocks.get(blocks)
+                    if atom is None:
+                        atom = by_blocks[blocks] = Atom(
+                            p, tuple([names[b] for b in blocks]))
+                    lits.append(atom)
+                c = HornClause(lits[0], tuple(lits[1:]))
                 if not confirm or most_general_in(spec, c):
                     keys.add(canonical_key(c))
 
         _variable_assignments(spec, arities, build)
     # Most survivors repeat a class, so representatives are spelled only
     # from the distinct keys.
-    keyed = [(key, _representative(key)) for key in keys]
-    keyed.sort(key=lambda kc: (
-        kc[1].body_size,
-        tuple(sorted(a.pred.arity for a in kc[1].body)),
-        kc[1].head.pred.arity,
-        kc[0],
+    order = sorted(keys, key=lambda key: (
+        len(key[1]) - 1,
+        tuple(sorted(len(a) - 1 for a in key[1][1:])),
+        len(key[1][0]) - 1,
+        key,
     ))
-    return tuple(c for _, c in keyed)
+    spelled: dict = {}
+    return tuple(_representative(key, spelled) for key in order)
 
 
 def count_fragment(spec: FragmentSpec) -> int:

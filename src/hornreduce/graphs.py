@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Iterator
+from typing import Collection, Iterator, Sequence
 
 from hornreduce.clauses import HornClause, _literal_masks
 
@@ -64,21 +64,10 @@ class ClauseGraph:
         """A breadth-first spanning tree, or None when the graph is disconnected.
 
         Each vertex, in the order reached, takes the edges to vertices not
-        yet reached in edge order; each edge is a literal mask.
+        yet reached in edge order (see :func:`_bfs_edges`).
         """
-        masks = [1 << e.u | 1 << e.v for e in self.edges]
-        seen = 1 << root
-        order = [root]
-        tree: list[LabeledEdge] = []
-        for u in order:  # grows as vertices are reached
-            for e, m in zip(self.edges, masks):
-                if m >> u & 1 and m & ~seen:
-                    seen |= m
-                    tree.append(e)
-                    order.append(e.u ^ e.v ^ u)
-        if len(order) != len(self.atoms):
-            return None
-        return tuple(tree)
+        ids = _bfs_edges(_adjacency(self.edges, len(self.atoms)), root)
+        return None if ids is None else tuple(self.edges[k] for k in ids)
 
     def all_spanning_trees(self) -> Iterator[tuple[LabeledEdge, ...]]:
         """Yield every spanning tree of the multigraph exactly once.
@@ -127,6 +116,36 @@ def _bits(m: int) -> list[int]:
     return out
 
 
+_Adjacency = list[list[tuple[int, int]]]
+
+
+def _adjacency(edges: Sequence[LabeledEdge], n: int) -> _Adjacency:
+    """Per vertex of ``n``, its edges as (edge index, other end) in edge
+    order."""
+    adj: _Adjacency = [[] for _ in range(n)]
+    for k, e in enumerate(edges):
+        adj[e.u].append((k, e.v))
+        adj[e.v].append((k, e.u))
+    return adj
+
+
+def _bfs_edges(adj: _Adjacency, root: int) -> list[int] | None:
+    """The breadth-first spanning tree from ``root`` of the graph of
+    :func:`_adjacency` ``adj``, as edge indices in the order taken: each
+    vertex, in the order reached, takes its edges to vertices not yet
+    reached.  None when the tree does not reach every vertex."""
+    seen = 1 << root
+    order = [root]
+    tree: list[int] = []
+    for u in order:  # grows as vertices are reached
+        for k, w in adj[u]:
+            if not seen >> w & 1:
+                seen |= 1 << w
+                tree.append(k)
+                order.append(w)
+    return tree if len(order) == len(adj) else None
+
+
 def _reach(masks: Collection[int], start: int) -> int:
     """The literals joined to those of ``start`` when each mask joins the
     literals it holds, as a mask."""
@@ -169,34 +188,54 @@ class LightPair:
     labels: frozenset[str]
 
 
-_Ranked = tuple[tuple[int, int, tuple[int, int]], LightPair]
+# a pair's rank (see _scan_tree) and its outgoing labels as a label mask
+_Ranked = tuple[tuple[int, int, tuple[int, int]], int]
 
 
-def _scan_tree(tree: tuple[LabeledEdge, ...], max_labels: int, lo: int,
-               n: int, linked: set[int]) -> _Ranked | None:
-    """Best qualifying pair for one tree with its rank: adjacent pairs
-    (their literal mask in ``linked``) first, then fewer labels, then the
-    lowest vertex pair.
+def _scan_tree(tree: Sequence[LabeledEdge], label_bit: dict[str, int],
+               max_labels: int, lo: int, n: int,
+               linked: set[int]) -> _Ranked | None:
+    """Best qualifying pair for one tree with its rank and labels: adjacent
+    pairs (their literal mask in ``linked``) first, then fewer labels, then
+    the lowest vertex pair.
 
-    A pair's outgoing edges are the tree edges at exactly one of its
-    vertices: the bits of ``inc[u] ^ inc[v]``, where ``inc[w]`` holds bit
-    ``k`` when tree edge ``k`` has an end at ``w``.
+    Labels are masks, one bit per variable (``label_bit``).  A pair's
+    outgoing edges are the tree edges at exactly one of its vertices, and
+    at most one tree edge joins two vertices.  So a pair that no tree edge
+    joins has the labels at either vertex, ``at[u] | at[v]``, and a pair
+    joined by tree edge ``e`` those of the tree edges other than ``e`` at
+    either end.  The label count is one popcount.
     """
-    inc = [0] * n
-    for k, e in enumerate(tree):
-        inc[e.u] |= 1 << k
-        inc[e.v] |= 1 << k
+    at = [0] * n
+    ends: list[list[tuple[LabeledEdge, int]]] = [[] for _ in range(n)]
+    for e in tree:
+        b = label_bit[e.var]
+        at[e.u] |= b
+        at[e.v] |= b
+        ends[e.u].append((e, b))
+        ends[e.v].append((e, b))
+    joined: dict[int, int] = {}
+    for e in tree:
+        labels = 0
+        for f, b in ends[e.u] + ends[e.v]:
+            if f is not e:
+                labels |= b
+        joined[1 << e.u | 1 << e.v] = labels
     best: _Ranked | None = None
+    best_apart, best_count = 2, 0  # ranks below every pair
     for u, v in itertools.combinations(range(lo, n), 2):
-        apart = 0 if 1 << u | 1 << v in linked else 1
-        if best is not None and apart > best[0][0]:
+        pair = 1 << u | 1 << v
+        apart = 0 if pair in linked else 1
+        if apart > best_apart:
             continue  # ranks below the best pair whatever its labels
-        labels = frozenset([tree[k].var for k in _bits(inc[u] ^ inc[v])])
-        if len(labels) > max_labels:
-            continue
-        rank = (apart, len(labels), (u, v))
-        if best is None or rank < best[0]:
-            best = (rank, LightPair(u, v, tree, labels))
+        labels = joined.get(pair)
+        if labels is None:
+            labels = at[u] | at[v]
+        count = labels.bit_count()
+        # pairs come in ascending order, so a tie keeps the earlier pair
+        if count <= max_labels and (apart, count) < (best_apart, best_count):
+            best_apart, best_count = apart, count
+            best = ((apart, count, (u, v)), labels)
     return best
 
 
@@ -204,28 +243,48 @@ def find_light_pair(graph: ClauseGraph, max_labels: int) -> LightPair | None:
     """Search for a light pair of body vertices across spanning trees of a
     connected graph.
 
-    Breadth-first trees from every root are scanned first; when none of them
-    yields a qualifying pair the spanning trees are enumerated exhaustively.
-    Deterministic: the same graph and bound always return the same pair.
-    Returns None when the graph is disconnected or no tree has a light pair.
+    Breadth-first trees from every root are scanned first, each distinct
+    edge set once: an equal tree ranks its pairs the same, and the earlier
+    root wins ties.  When none of them yields a qualifying pair the
+    spanning trees are enumerated exhaustively.  Deterministic: the same
+    graph and bound always return the same pair.  Returns None when the
+    graph is disconnected or no tree has a light pair.
     """
     n = graph.vertex_count
     lo = graph.body_offset
     if n - lo < 2:
         return None
-    linked = {1 << e.u | 1 << e.v for e in graph.edges}
-    found: _Ranked | None = None
+    edges = graph.edges
+    adj = _adjacency(edges, n)
+    linked = {1 << e.u | 1 << e.v for e in edges}
+    label_bit: dict[str, int] = {}
+    for e in edges:
+        label_bit.setdefault(e.var, 1 << len(label_bit))
+
+    def light_pair(tree: Sequence[LabeledEdge], got: _Ranked) -> LightPair:
+        (_, _, (u, v)), labels = got
+        names = list(label_bit)
+        return LightPair(u, v, tuple(tree),
+                         frozenset([names[i] for i in _bits(labels)]))
+
+    found: tuple[_Ranked, list[LabeledEdge]] | None = None
+    scanned: set[int] = set()  # the edge sets of the trees scanned
     for root in range(n):
-        tree = graph.bfs_spanning_tree(root)
-        if tree is None:
+        ids = _bfs_edges(adj, root)
+        if ids is None:
             return None
-        got = _scan_tree(tree, max_labels, lo, n, linked)
-        if got is not None and (found is None or got[0] < found[0]):
-            found = got
+        key = sum(1 << k for k in ids)
+        if key in scanned:
+            continue
+        scanned.add(key)
+        tree = [edges[k] for k in ids]
+        got = _scan_tree(tree, label_bit, max_labels, lo, n, linked)
+        if got is not None and (found is None or got[0] < found[0][0]):
+            found = (got, tree)
     if found is not None:
-        return found[1]
+        return light_pair(found[1], found[0])
     for tree in graph.all_spanning_trees():
-        got = _scan_tree(tree, max_labels, lo, n, linked)
+        got = _scan_tree(tree, label_bit, max_labels, lo, n, linked)
         if got is not None:
-            return got[1]
+            return light_pair(tree, got)
     return None

@@ -322,7 +322,9 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
             _target: HornClause | None = None) -> ClosureResult:
     """Clauses derivable from ``theory`` in at most ``max_depth`` levels.
 
-    Level 0 is the theory itself (canonical forms).  Each later level
+    Level 0 is the theory itself (canonical forms).  Every admitted
+    clause is its key's representative, spelled through one atom table
+    per call, so the clauses share their atoms.  Each later level
     resolves clauses from the previous level against the theory's members,
     and in ``standard`` mode also closes new clauses under factoring.
     ``max_body`` discards conclusions with larger bodies and ``max_clauses``
@@ -362,6 +364,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
         theory = Theory(theory)
 
     reps: dict = {}  # canonical key -> representative, in admission order
+    atoms: dict = {}  # the representatives' atoms by atom key
     prov: dict = {}
     truncated = False
     target_hit: HornClause | None = None
@@ -379,7 +382,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
             key = canonical_key(raw)
         if key in reps:
             return
-        reps[key] = rep = _representative(key)
+        reps[key] = rep = _representative(key, atoms)
         if record is not None:
             prov[key] = record
         new_keys.append(key)

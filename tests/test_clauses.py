@@ -24,6 +24,7 @@ from hornreduce.clauses import (
     canonical,
     canonical_key,
     compose,
+    fresh_names,
     is_instance,
     mgu,
     parse_clause,
@@ -563,6 +564,45 @@ def test_rename_apart_fresh_and_equivalent():
 def test_rename_apart_deterministic():
     c = c_base()
     assert rename_apart(c)[0] == rename_apart(c)[0]
+
+
+def reference_rename_apart(c, avoid_terms=(), avoid_preds=()):
+    """``rename_apart`` read plainly: each variable list is read twice."""
+    avoid_t = set(avoid_terms) | set(c.term_vars())
+    avoid_p = set(avoid_preds) | {p.name for p in c.pred_vars()}
+    terms = fresh_names("v", avoid_t)
+    preds = fresh_names("Q", avoid_p)
+    sub = Substitution(
+        {p: PredVar(next(preds), p.arity) for p in c.pred_vars()},
+        {v: next(terms) for v in c.term_vars()},
+    )
+    return apply_substitution(c, sub), sub
+
+
+def test_rename_apart_matches_the_reference_on_random_clauses():
+    # names the renaming draws (v<i>, Q<i>) occur in the clauses and in the
+    # avoid sets; predicate names and atoms repeat, some clauses are headless
+    rng = random.Random(25)
+    terms = ["x", "y", "v1", "v2", "v4"]
+    for _ in range(1000):
+        arity = {name: rng.randint(1, 3) for name in ["P", "Q1", "Q2", "R"]}
+
+        def atom():
+            name = rng.choice(list(arity))
+            return Atom.of(name, *(rng.choice(terms)
+                                   for _ in range(arity[name])))
+
+        body = [atom() for _ in range(rng.randint(0, 4))]
+        if body and rng.random() < 0.3:
+            body.append(rng.choice(body))
+        c = HornClause(atom() if rng.random() < 0.8 else None, tuple(body))
+        avoid_t = rng.sample(["v1", "v3", "x", "w"], rng.randint(0, 3))
+        avoid_p = rng.sample(["Q1", "Q3", "P"], rng.randint(0, 2))
+        got, sub = rename_apart(c, iter(avoid_t), iter(avoid_p))
+        want, ref = reference_rename_apart(c, avoid_t, avoid_p)
+        assert got == want
+        assert list(sub.pred_map.items()) == list(ref.pred_map.items())
+        assert list(sub.term_map.items()) == list(ref.term_map.items())
 
 
 # ---------------------------------------------------------------------------

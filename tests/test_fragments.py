@@ -486,6 +486,35 @@ def test_enumeration_canonicalizes_only_survivors(monkeypatch):
     assert got == enumerate_fragment(horn_c(2, 3))
 
 
+CONNECTED_23 = FragmentSpec(2, 3, connected=True, distinct_predvars=True)
+
+
+@pytest.mark.parametrize("spec", [CONNECTED_23, horn_c(2, 3), horn_2c(2, 3)],
+                         ids=["connected", "horn_c", "horn_2c"])
+def test_enumerated_members_share_their_atoms(spec):
+    """One enumeration spells each atom value once, so its members hold as
+    many atom objects as atom values."""
+    got = enumerate_fragment.__wrapped__(spec)
+    atoms = [a for c in got for a in c.literals()]
+    assert len({id(a) for a in atoms}) == len(set(atoms))
+
+
+def test_enumeration_builds_each_atom_once_per_profile(monkeypatch):
+    """A cold connected (2,3) enumeration builds 1,033 members from 61
+    atom values: its assignments take their atoms from a table per arity
+    profile and its representatives from one table, 321 atoms in all
+    (building every literal of every clause makes 8,689)."""
+    built = []
+    check = Atom.__post_init__
+    monkeypatch.setattr(Atom, "__post_init__",
+                        lambda a: built.append(a) or check(a))
+    got = enumerate_fragment.__wrapped__(CONNECTED_23)
+    assert len(got) == 1033
+    assert len(built) <= 321
+    monkeypatch.undo()
+    assert got == enumerate_fragment(CONNECTED_23)
+
+
 # ---------------------------------------------------------------------------
 # Frozen enumerations
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hornreduce.clauses import (
     Atom,
     HornClause,
+    PredVar,
     Substitution,
     Theory,
     alpha_equivalent,
@@ -114,6 +115,31 @@ def test_pre_renamed_resolution_equals_resolve():
             for i in range(len(c1.body)):
                 assert _resolve_renamed(c1, c2, renamed[c2], i, kind) == \
                     resolve(c1, c2, i, kind), (c1, c2, i)
+
+
+def test_substitution_atom_keeps_the_atoms_it_fixes():
+    """``Substitution.atom`` is ``Atom(pred, mapped args)``, and is its
+    argument itself exactly when the substitution fixes the atom."""
+    rng = random.Random(25)
+    terms = ["x", "y", "z", "w"]
+    fixed = moved = 0
+    for _ in range(3000):
+        arity = {name: rng.randint(1, 3) for name in "PQR"}
+        name = rng.choice("PQR")
+        a = Atom(PredVar(name, arity[name]),
+                 tuple(rng.choice(terms) for _ in range(arity[name])))
+        sub = Substitution(
+            {PredVar(p, arity[p]): PredVar(rng.choice("PQRS"), arity[p])
+             for p in rng.sample("PQR", rng.randint(0, 3))},
+            {t: rng.choice(terms)
+             for t in rng.sample(terms, rng.randint(0, 3))})
+        got = sub.atom(a)
+        want = Atom(sub.pred(a.pred), tuple(sub.term(x) for x in a.args))
+        assert got == want
+        assert (got is a) == (want == a)
+        fixed += want == a
+        moved += want != a
+    assert fixed > 500 and moved > 500
 
 
 def test_resolve_chain():
@@ -427,6 +453,16 @@ def test_closure_renames_each_premise_once(monkeypatch):
     result = closure(core, 2, mode="sld", max_body=5)
     assert len(result.clauses) == 50
     assert len(calls) <= len(core)
+
+
+@pytest.mark.parametrize("mode", ["sld", "standard"])
+def test_closure_clauses_share_their_atoms(mode):
+    # one closure spells each atom value once, over all the clauses it
+    # admits
+    result = closure(c23_core(), 2, mode=mode, max_body=5)
+    atoms = [a for c in result.clauses for a in c.literals()]
+    assert len(result.clauses) > 40
+    assert len({id(a) for a in atoms}) == len(set(atoms))
 
 
 @pytest.mark.parametrize("mode", ["sld", "standard"])

@@ -103,8 +103,11 @@ def test_keydiff_against_a_commit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(keydiff, "CORPUS_SIZE", 300)
     monkeypatch.setattr(keydiff, "SPECS", [("horn_c", 2, 2), ("horn", 1, 2)])
     assert keydiff.main(["--against", "HEAD"]) == 0
+    closure_row = ("closure sha256 and truncated "
+                   "(horn_c(2,3) core, depth 2, max_body 5)")
     assert capsys.readouterr().out.splitlines() == [
-        "0/300  canonical keys (seed 6)", "0/2  enumerate_fragment sha256"]
+        "0/300  canonical keys (seed 6)", "0/2  enumerate_fragment sha256",
+        f"0/2  {closure_row}"]
     with open(tmp_path / "src" / "hornreduce" / "clauses.py", "a",
               encoding="utf-8") as f:
         f.write("\n_serialize = _canonical_serialization\n\n\n"
@@ -117,7 +120,9 @@ def test_keydiff_against_a_commit(tmp_path, monkeypatch, capsys):
     assert rows[0] != "0/300  canonical keys (seed 6)"
     assert rows[1:] == ["mismatch  enumerate_fragment horn_c(2,2)",
                         "mismatch  enumerate_fragment horn(1,2)",
-                        "2/2  enumerate_fragment sha256"]
+                        "2/2  enumerate_fragment sha256",
+                        "mismatch  closure sld", "mismatch  closure standard",
+                        f"2/2  {closure_row}"]
     assert keydiff.main(["--against", "no-such-ref"]) == 1
     assert keydiff.main([]) == 64
 

@@ -1,4 +1,4 @@
-"""Compare canonical keys and fragment enumerations with another commit.
+"""Compare canonical keys, enumerations and closures with another commit.
 
 Usage, inside a git checkout::
 
@@ -7,10 +7,11 @@ Usage, inside a git checkout::
 Extracts ``src/`` at commit ``REF`` into a temporary directory with ``git
 archive`` and runs it and this checkout's ``src/`` in one subprocess each.
 Both compute ``canonical_key`` of the same seeded random corpus (repeated
-predicate names and atoms, headless clauses, symmetric lines) and the
-sha256 of ``enumerate_fragment`` on a fixed list of specs.  Prints one
-``<mismatches>/<compared>  <what>`` row per part and exits 1 on any
-mismatch, 0 when there is none.
+predicate names and atoms, headless clauses, symmetric lines), the sha256
+of ``enumerate_fragment`` on a fixed list of specs, and the sha256 of the
+clause text of ``closure`` over the 4-clause horn_c(2,3) core, with its
+``truncated`` flag, in each mode.  Prints one ``<mismatches>/<compared>
+<what>`` row per part and exits 1 on any mismatch, 0 when there is none.
 """
 
 from __future__ import annotations
@@ -46,12 +47,22 @@ SPECS = [
     ("horn", 3, 2), ("connected", 2, 2), ("connected", 2, 3),
     ("general_2c", 3, 1)]
 
-# Run with a tree's src/ first on sys.path; reads the corpus and specs as
-# JSON on stdin and writes each clause's key and each spec's digest.
+# The core of horn_c(2,3), closed to depth 2 with max_body 5 in each mode:
+# the closure spells every clause it admits from the clause's key.
+CORE = ["P0(x1) :- P1(x2,x1).", "P0(x1,x2) :- P1(x2).",
+        "P0(x1,x2) :- P1(x3,x1).", "P0(x1,x2) :- P1(x3,x2), P2(x4,x3)."]
+CLOSURE_DEPTH = 2
+CLOSURE_MAX_BODY = 5
+MODES = ["sld", "standard"]
+
+# Run with a tree's src/ first on sys.path; reads the corpus, specs and core
+# as JSON on stdin and writes each clause's key, each spec's digest and each
+# mode's closure digest and truncated flag.
 _WORKER = """
 import hashlib, json, sys
-from hornreduce.clauses import Atom, HornClause, canonical_key
+from hornreduce.clauses import Atom, HornClause, canonical_key, parse_clause
 from hornreduce.fragments import FragmentSpec, enumerate_fragment
+from hornreduce.resolution import closure
 data = json.load(sys.stdin)
 keys = []
 for head, body in data["clauses"]:
@@ -63,7 +74,15 @@ for arity, size, flags in data["specs"]:
     text = "\\n".join(map(str, enumerate_fragment(
         FragmentSpec(arity, size, **flags))))
     digests.append(hashlib.sha256(text.encode()).hexdigest())
-json.dump({"keys": keys, "fragments": digests}, sys.stdout)
+core = [parse_clause(t) for t in data["core"]]
+closures = []
+for mode in data["modes"]:
+    result = closure(core, data["depth"], mode=mode, max_body=data["max_body"])
+    text = "\\n".join(map(str, result.clauses))
+    closures.append([hashlib.sha256(text.encode()).hexdigest(),
+                     result.truncated])
+json.dump({"keys": keys, "fragments": digests, "closures": closures},
+          sys.stdout)
 """
 
 
@@ -138,6 +157,8 @@ def main(argv: list[str]) -> int:
     payload = json.dumps({
         "clauses": corpus(CORPUS_SEED, CORPUS_SIZE),
         "specs": [(arity, body, _KINDS[kind]) for kind, arity, body in SPECS],
+        "core": CORE, "depth": CLOSURE_DEPTH, "max_body": CLOSURE_MAX_BODY,
+        "modes": MODES,
     })
     answers = run_against(argv[1], _WORKER, payload)
     if answers is None:
@@ -152,7 +173,15 @@ def main(argv: list[str]) -> int:
             frags += 1
             print(f"mismatch  enumerate_fragment {kind}({arity},{body})")
     print(f"{frags}/{len(SPECS)}  enumerate_fragment sha256")
-    return 1 if keys or frags else 0
+    closures = 0
+    for mode, b, a in zip(MODES, before["closures"], after["closures"]):
+        if b != a:
+            closures += 1
+            print(f"mismatch  closure {mode}")
+    print(f"{closures}/{len(MODES)}  closure sha256 and truncated "
+          f"(horn_c(2,3) core, depth {CLOSURE_DEPTH}, "
+          f"max_body {CLOSURE_MAX_BODY})")
+    return 1 if keys or frags or closures else 0
 
 
 if __name__ == "__main__":
