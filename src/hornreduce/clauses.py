@@ -510,7 +510,7 @@ def is_instance(c: HornClause, d: HornClause) -> Substitution | None:
         failed.add(orbit[j])
         _rollback(pm, tm, np, nt)
         j += 1
-    return Substitution(dict(pm), dict(tm))
+    return Substitution(pm, tm)
 
 
 def _literal_masks(c: HornClause) -> tuple[dict[str, int], dict[str, int]]:

@@ -60,15 +60,6 @@ class ClauseGraph:
         """Index of the first body vertex (1 when the clause has a head)."""
         return 1 if self.clause.head is not None else 0
 
-    def bfs_spanning_tree(self, root: int = 0) -> tuple[LabeledEdge, ...] | None:
-        """A breadth-first spanning tree, or None when the graph is disconnected.
-
-        Each vertex, in the order reached, takes the edges to vertices not
-        yet reached in edge order (see :func:`_bfs_edges`).
-        """
-        ids = _bfs_edges(_adjacency(self.edges, len(self.atoms)), root)
-        return None if ids is None else tuple(self.edges[k] for k in ids)
-
     def all_spanning_trees(self) -> Iterator[tuple[LabeledEdge, ...]]:
         """Yield every spanning tree of the multigraph exactly once.
 
@@ -170,12 +161,6 @@ def is_connected(c: HornClause) -> bool:
     """True iff the clause graph is connected (single literals trivially are)."""
     return _spans(_literal_masks(c)[0].values(),
                   c.body_size + (c.head is not None))
-
-
-def pair_outgoing_labels(tree: tuple[LabeledEdge, ...], u: int, v: int) -> frozenset[str]:
-    """Distinct labels on tree edges with exactly one endpoint in ``{u, v}``."""
-    pair = {u, v}
-    return frozenset(e.var for e in tree if (e.u in pair) != (e.v in pair))
 
 
 @dataclass(frozen=True, slots=True)

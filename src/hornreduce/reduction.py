@@ -57,6 +57,7 @@ from hornreduce.resolution import (
     _arity_surplus,
     _check_bounds,
     _resolutions,
+    _shape,
     factor,
     replay_proof,
     resolve,
@@ -103,6 +104,18 @@ def triadic_counterexample() -> HornClause:
 # Irreducibility-preserving extension and the clause family it generates
 # ---------------------------------------------------------------------------
 
+def _extension_problem(a1: Atom, a2: Atom) -> str:
+    """Why body atoms ``a1`` and ``a2`` cannot be extended together by
+    :func:`nonred_extend`, or "" when they can."""
+    if a1.pred.arity != 2 or a2.pred.arity != 2:
+        return "both extended atoms must be dyadic"
+    if len(set(a1.args)) != 2 or len(set(a2.args)) != 2:
+        return "both extended atoms need two distinct arguments"
+    if len(set(a1.args) & set(a2.args)) != 1:
+        return "the extended atoms must share exactly one variable"
+    return ""
+
+
 def nonred_extend(c: HornClause, i: int, j: int) -> HornClause:
     """Grow the body by three literals without making the clause reducible.
 
@@ -118,14 +131,10 @@ def nonred_extend(c: HornClause, i: int, j: int) -> HornClause:
     if i == j:
         raise ValueError("the two extended atoms must be distinct")
     a1, a2 = c.body[i], c.body[j]
-    if a1.pred.arity != 2 or a2.pred.arity != 2:
-        raise ValueError("both extended atoms must be dyadic")
-    if len(set(a1.args)) != 2 or len(set(a2.args)) != 2:
-        raise ValueError("both extended atoms need two distinct arguments")
-    shared = set(a1.args) & set(a2.args)
-    if len(shared) != 1:
-        raise ValueError("the extended atoms must share exactly one variable")
-    s = shared.pop()
+    problem = _extension_problem(a1, a2)
+    if problem:
+        raise ValueError(problem)
+    (s,) = set(a1.args) & set(a2.args)
     u = a1.args[1] if a1.args[0] == s else a1.args[0]
     v = a2.args[1] if a2.args[0] == s else a2.args[0]
     terms = fresh_names("x", set(c.term_vars()))
@@ -141,16 +150,9 @@ def nonred_extend(c: HornClause, i: int, j: int) -> HornClause:
 
 def extension_pairs(c: HornClause) -> tuple[tuple[int, int], ...]:
     """Ordered index pairs of body atoms eligible for :func:`nonred_extend`."""
-    out = []
-    for i, a1 in enumerate(c.body):
-        if a1.pred.arity != 2 or len(set(a1.args)) != 2:
-            continue
-        for j, a2 in enumerate(c.body):
-            if i == j or a2.pred.arity != 2 or len(set(a2.args)) != 2:
-                continue
-            if len(set(a1.args) & set(a2.args)) == 1:
-                out.append((i, j))
-    return tuple(out)
+    return tuple((i, j) for i, a1 in enumerate(c.body)
+                 for j, a2 in enumerate(c.body)
+                 if i != j and not _extension_problem(a1, a2))
 
 
 def extension_family(clause: HornClause, depth: int) -> tuple[HornClause, ...]:
@@ -231,21 +233,25 @@ def cut_pending(c: HornClause, body_indices: Iterable[int]) -> tuple[str, ...]:
 
 
 def _pivot_arg_sets(masks: _Masks, am: int, bm: int, fragment: FragmentSpec,
-                    arity_cap: int, exhaustive: bool) -> list[tuple[str, ...]]:
+                    exhaustive: bool) -> list[tuple[str, ...]]:
     """Pivot argument tuples to try for the cut into the body masks ``am``
     (side 1, with the head) and ``bm`` (side 2).
 
-    The default policy uses exactly the pending variables of the cut, none
-    when there are more than ``arity_cap``.  The exhaustive policy tries
-    every subset of the crossing variables up to the arity cap.  Arguments
-    a pivot could carry beyond the crossing variables never change the
-    resolvent, so both policies omit them.  When neither finds a set, both
-    fall back to a single connector: the first crossing variable for
-    connected premises (each then sits in two literals per side, as
-    2-connected premises need), else the first variable side 2 holds.
+    The pivot is a literal of both premises, so the class arity
+    ``fragment.max_arity`` bounds its arguments: a wider pivot fails
+    premise membership.  The default policy uses exactly the pending
+    variables of the cut, none when there are more than that.  The
+    exhaustive policy tries every subset of the crossing variables up to
+    it.  Arguments a pivot could carry beyond the crossing variables never
+    change the resolvent, so both policies omit them.  When neither finds
+    a set, both fall back to a single connector: the first crossing
+    variable for connected premises (each then sits in two literals per
+    side, as 2-connected premises need), else the first variable side 2
+    holds.
     """
+    cap = fragment.max_arity
     if not exhaustive:
-        required = _pending(masks, am, bm, arity_cap)
+        required = _pending(masks, am, bm, cap)
         if required is None:
             return []
         if required:
@@ -253,7 +259,7 @@ def _pivot_arg_sets(masks: _Masks, am: int, bm: int, fragment: FragmentSpec,
     else:
         crossing = [v for v, m, h in masks if m & bm and (m & am or h)]
         if crossing:
-            return [s for size in range(1, min(arity_cap, len(crossing)) + 1)
+            return [s for size in range(1, min(cap, len(crossing)) + 1)
                     for s in itertools.combinations(crossing, size)]
     connected = fragment.connected or fragment.two_connected
     return [(v,) for v, m, h in masks
@@ -273,7 +279,7 @@ def _light_sets(masks: _Masks, om: int, rest: tuple[int, ...]
 
 
 def _side2_picks(rest: tuple[int, ...], size: int, holds: tuple[int, ...],
-                 head: int, cap: int, width: int) -> Iterator[int]:
+                 head: int, cap: int) -> Iterator[int]:
     """Side-2 masks of ``size`` bits of ``rest``, in the order of
     ``itertools.combinations(rest, size)``, without the branches that can
     only yield cuts with more than ``cap`` pending variables.
@@ -285,9 +291,9 @@ def _side2_picks(rest: tuple[int, ...], size: int, holds: tuple[int, ...],
     holds and ``head`` the set the head holds, as bitmasks over the light
     variables.  The walk decides ``rest`` in order, "take" (side 2) before
     "skip" (side 1), and drops a branch once more than ``cap`` light
-    variables cross.  That needs the taken atoms to hold more than ``cap``
-    arguments, ``width`` being the most one atom holds, so only then is it
-    counted.
+    variables cross.  ``cap`` is the class arity: one taken atom crosses
+    more only when it is wider than that, and then its premise fails
+    membership anyway, so the count starts at the second.
     """
     n = len(rest)
     # (next index, atoms taken, side-2 mask, light variables on side 2 and
@@ -295,7 +301,7 @@ def _side2_picks(rest: tuple[int, ...], size: int, holds: tuple[int, ...],
     stack = [(0, 0, 0, 0, head)]
     while stack:
         i, j, s2, on2, on1 = stack.pop()
-        if j * width > cap and (on2 & on1).bit_count() > cap:
+        if j > 1 and (on2 & on1).bit_count() > cap:
             continue
         if j == size:
             yield s2
@@ -305,8 +311,8 @@ def _side2_picks(rest: tuple[int, ...], size: int, holds: tuple[int, ...],
         stack.append((i + 1, j + 1, s2 | rest[i], on2 | holds[i], on1))
 
 
-def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
-                  overlap_cap: int, exhaustive: bool
+def _cut_premises(c: HornClause, fragment: FragmentSpec, overlap_cap: int,
+                  exhaustive: bool
                   ) -> Iterator[tuple[HornClause, HornClause,
                                       tuple[tuple[int, int], ...]]]:
     """Candidate premise pairs for deriving ``c`` in one inference.
@@ -322,11 +328,11 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
     are produced.
 
     Cuts are enumerated as body masks (see ``_Masks``); the side tuples and
-    premises are built only for cuts that have a pivot argument set.  Under
-    the default pivot policy, a side-2 size whose picks before the last can
-    carry more than ``arity_cap`` variables is walked by
+    premises are built only for cuts that have a pivot argument set, whose
+    arity the class arity bounds (:func:`_pivot_arg_sets`).  Under the
+    default pivot policy, a side-2 size of three or more atoms is walked by
     :func:`_side2_picks`, which drops whole branches of cuts that would
-    leave too many variables pending.
+    leave more variables pending than the class arity.
     """
     b = c.body_size
     if c.head is None or b < 2:
@@ -342,10 +348,6 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
     full = (1 << b) - 1
     pivot_name = next(fresh_names("Q", {p.name for p in c.pred_vars()}))
     positions = tuple(range(b))
-    # The exhaustive policy has no pending bound, so its walk never prunes.
-    # An atom wider than the class arity fails membership on either side,
-    # so no atom that can yield a premise holds more arguments than that.
-    width = 0 if exhaustive else fragment.max_arity
     for o_size in range(min(overlap_cap, b) + 1):
         for overlap in itertools.combinations(positions, o_size):
             om = sum(1 << p for p in overlap)
@@ -354,20 +356,21 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
             for b_only_size in range(2, len(rest) + 1):
                 if o_size + b_only_size >= b:
                     break
-                # a check at the last pick only repeats the cut's own
-                # pending test, so walk only where an earlier one can prune
-                if (b_only_size - 1) * width <= arity_cap:
+                # the exhaustive policy has no pending bound, and with two
+                # atoms only the last pick could prune, which repeats the
+                # cut's own pending test
+                if exhaustive or b_only_size == 2:
                     picks = map(sum, itertools.combinations(rest, b_only_size))
                 else:
                     if light is None:
                         light = _light_sets(masks, om, rest)
                     picks = _side2_picks(rest, b_only_size, *light,
-                                         arity_cap, width)
+                                         fragment.max_arity)
                 for b_only in picks:
                     bm = om + b_only
                     am = (full ^ bm) | om
                     arg_sets = _pivot_arg_sets(masks, am, bm, fragment,
-                                               arity_cap, exhaustive)
+                                               exhaustive)
                     if not arg_sets:
                         continue
                     a_pos = tuple(p for p in positions if am >> p & 1)
@@ -391,15 +394,14 @@ def _cut_premises(c: HornClause, fragment: FragmentSpec, arity_cap: int,
 _Hit = tuple[list[InferenceStep], Substitution]
 
 
-def _cut_hits(c: HornClause, fragment: FragmentSpec, arity_cap: int,
-              kind: str, overlap_cap: int, exhaustive: bool
-              ) -> Iterator[_Hit]:
+def _cut_hits(c: HornClause, fragment: FragmentSpec, kind: str,
+              overlap_cap: int, exhaustive: bool) -> Iterator[_Hit]:
     """Replay every candidate cut of ``c`` forward — resolve on the pivot,
     factor the overlap copies — and yield those covering ``c``.  The pivot
     is ``second``'s head, and each factor pair two copies of one atom;
     equal-arity atoms always unify, so no step fails."""
-    for first, second, fpairs in _cut_premises(c, fragment, arity_cap,
-                                               overlap_cap, exhaustive):
+    for first, second, fpairs in _cut_premises(c, fragment, overlap_cap,
+                                               exhaustive):
         steps = [resolve(first, second, 0, kind=kind)]
         for i, j in fpairs:
             steps.append(factor(steps[-1].conclusion, i, j))
@@ -463,28 +465,28 @@ def _pool_scan(c: HornClause, pool: tuple[HornClause, ...], kind: str,
     exactly the factoring chain its size surplus dictates (none in SLD,
     where ``max_factor`` is 0), and instance-match against ``c``.  The pool
     members are canonical representatives (``enumerate_fragment``), so each
-    is renamed apart once, not once per pair."""
+    is renamed apart once, not once per pair.  Whether a pair fits, and
+    with what surplus, depends only on the two members' ``_shape`` (head
+    arity and body arities), so it is computed once per pair of shapes."""
     target = Counter(a.pred.arity for a in c.body)
+    # a shape is (True, head arity, body size, sorted body arities)
     by_size: dict[int, list] = {}
-    sig_ids: dict = {}  # (head arity, sorted body arities) -> small int
     for pos, d in enumerate(pool):
-        sig = (d.head.pred.arity, tuple(sorted(a.pred.arity for a in d.body)))
-        by_size.setdefault(d.body_size, []).append(
-            (d, sig, sig_ids.setdefault(sig, len(sig_ids)), pos))
-    surplus: dict = {}  # d1 body arities -> d2 signature id -> surplus
+        by_size.setdefault(d.body_size, []).append((d, _shape(d), pos))
+    surplus: dict = {}  # d1 shape -> d2 shape -> surplus
     renamed: dict = {}  # pool position -> the member renamed apart
     for chain in range(max_factor + 1):
         for s1 in sorted(by_size):
-            for d1, (d1_head, d1_body), _, _ in by_size[s1]:
-                if d1_head != c.head.pred.arity:
+            for d1, shape1, _ in by_size[s1]:
+                if shape1[1] != c.head.pred.arity:
                     continue
-                fits = surplus.setdefault(d1_body, {})
-                for d2, (pivot_arity, d2_body), d2_sig, pos in \
+                fits = surplus.setdefault(shape1, {})
+                for d2, shape2, pos in \
                         by_size.get(c.body_size + chain + 1 - s1, ()):
-                    extra = fits.get(d2_sig)
+                    extra = fits.get(shape2)
                     if extra is None:
-                        extra = fits[d2_sig] = _arity_surplus(
-                            target, d1_body, pivot_arity, d2_body)
+                        extra = fits[shape2] = _arity_surplus(
+                            target, shape1[3], shape2[1], shape2[3])
                     if extra != chain:
                         continue
                     # a fit puts a body atom of the pivot's arity in d1
@@ -537,8 +539,8 @@ def is_reducible(c: HornClause, mode: str = "sld",
     if pool is not None:
         hit = _pool_scan(c, pool, kind, chain_cap)
     else:
-        hit = next(_cut_hits(c, fragment, fragment.max_arity, kind,
-                             chain_cap, exhaustive=forward), None)
+        hit = next(_cut_hits(c, fragment, kind, chain_cap,
+                             exhaustive=forward), None)
     return _closed_proof(hit, c) if hit is not None else None
 
 
@@ -557,6 +559,16 @@ def spanning_tree_split(c: HornClause
     replaces them by the pivot.  Resolving the premises and unifying the
     copies of any variables the tree did not route through the pivot
     reproduces ``c``.
+
+    :func:`find_light_pair` always finds the pair among the breadth-first
+    trees, never in its exhaustive tree search: it scans the tree rooted at
+    the head, and that tree has a light pair.  Take a deepest vertex ``v``
+    of it; ``v`` is a body atom, as the body holds three.  If ``v``'s
+    parent ``p`` is a body atom, ``v`` has no children, so every tree edge
+    that leaves ``{v, p}`` sits at ``p`` and carries one of ``p``'s at most
+    ``max_arity(c)`` variables.  Otherwise every body atom is a leaf on the
+    head, and two of them carry at most two of the head's variables, only
+    one when the head is unary: at most ``max_arity(c)`` either way.
     """
     if c.head is None:
         raise ValueError("the clause must have a head")
@@ -569,8 +581,6 @@ def spanning_tree_split(c: HornClause
         raise ValueError("the clause must be connected")
     graph = clause_graph(c)
     lp = find_light_pair(graph, c.max_arity())
-    if lp is None:
-        raise RuntimeError("no spanning tree admits a light enough pair")
     off = graph.body_offset
     bu, bv = lp.u - off, lp.v - off
     args = tuple(x for x in c.term_vars() if x in lp.labels)

@@ -476,12 +476,12 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     )
 
 
-def _proof_from_closure(result: ClosureResult, derived: HornClause,
-                        target: HornClause, target_key: tuple) -> Proof:
+def _proof_from_closure(result: ClosureResult, target: HornClause,
+                        target_key: tuple) -> Proof:
     """Reconstruct a proof of ``target`` (canonical key ``target_key``)
-    from closure provenance."""
+    from the provenance of the closure clause that hit it."""
     reps, prov = result._reps, result._prov
-    goal_key = canonical_key(derived)
+    goal_key = canonical_key(result.target_hit)
 
     needed: list = []
     seen: set = set()
@@ -783,7 +783,7 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
                      max_clauses=max_clauses, _target=target)
     if result.target_hit is not None:
         return SearchResult(
-            _proof_from_closure(result, result.target_hit, target, goal),
+            _proof_from_closure(result, target, goal),
             truncated=False)
     # a fixpoint without drops is a definitive no; anything else is a cut
     return SearchResult(None, truncated=result.truncated)

@@ -4,8 +4,8 @@
 counted each cut's pending variables in per-cut occurrence dicts, before
 the counts came from per-variable body bitmasks.  It holds the sha256 of
 the text of every ``(first, second, fpairs)`` triple ``_cut_premises``
-yields, in order, per corpus group, premise class, pivot arity cap
-(the class arity and one more), overlap cap (0-2) and pivot policy, plus
+yields, in order, per corpus group, premise class, overlap cap (0-2) and
+pivot policy (the class arity caps the pivot), plus
 the exit code and stdout of ``check`` on the first depth-3 extension
 family member in both modes (sld irreducible, standard reducible).  The
 pruned cut walk is also compared with the unpruned walk it replaces, on
@@ -76,24 +76,22 @@ GROUPS = {
 
 def stream_digests(clauses, policies, classes=tuple(CLASSES)) -> dict:
     """Count and sha256 of the premise stream of ``clauses`` per premise
-    class, cap surplus, overlap cap and policy."""
+    class, overlap cap and policy."""
     out = {}
     for cls in classes:
         build = CLASSES[cls]
-        for extra in (0, 1):
-            for overlap in (0, 1, 2):
-                for policy in policies:
-                    h, n = hashlib.sha256(), 0
-                    for c in clauses:
-                        frag = build(c.max_arity(), c.body_size)
-                        h.update(f"# {c}\n".encode())
-                        for first, second, fpairs in _cut_premises(
-                                c, frag, frag.max_arity + extra, overlap,
-                                POLICIES[policy]):
-                            h.update(f"{first}|{second}|{fpairs}\n".encode())
-                            n += 1
-                    key = f"{cls}|cap+{extra}|overlap {overlap}|{policy}"
-                    out[key] = {"count": n, "sha256": h.hexdigest()}
+        for overlap in (0, 1, 2):
+            for policy in policies:
+                h, n = hashlib.sha256(), 0
+                for c in clauses:
+                    frag = build(c.max_arity(), c.body_size)
+                    h.update(f"# {c}\n".encode())
+                    for first, second, fpairs in _cut_premises(
+                            c, frag, overlap, POLICIES[policy]):
+                        h.update(f"{first}|{second}|{fpairs}\n".encode())
+                        n += 1
+                key = f"{cls}|overlap {overlap}|{policy}"
+                out[key] = {"count": n, "sha256": h.hexdigest()}
     return out
 
 
@@ -160,7 +158,7 @@ def test_every_candidate_resolves_and_factors(corpus_c24, corpus_2c24):
             for overlap in (0, 1, 2):
                 for exhaustive in POLICIES.values():
                     for first, second, fpairs in _cut_premises(
-                            c, frag, frag.max_arity, overlap, exhaustive):
+                            c, frag, overlap, exhaustive):
                         step = resolve(first, second, 0)
                         assert step is not None, (first, second)
                         for i, j in fpairs:
@@ -170,7 +168,7 @@ def test_every_candidate_resolves_and_factors(corpus_c24, corpus_2c24):
     assert (len(clauses), n) == (27, 13170)
 
 
-def reference_cut_premises(c, fragment, arity_cap, overlap_cap, exhaustive):
+def reference_cut_premises(c, fragment, overlap_cap, exhaustive):
     """``_cut_premises`` without pruned branches: every side-2 pick of
     ``itertools.combinations``, each cut tested by its own pivot argument
     sets (the default policy's ``_pending``)."""
@@ -202,7 +200,7 @@ def reference_cut_premises(c, fragment, arity_cap, overlap_cap, exhaustive):
                          for p in overlap),
                         key=lambda t: -t[1]))
                     for args in _pivot_arg_sets(masks, am, bm, fragment,
-                                                arity_cap, exhaustive):
+                                                exhaustive):
                         pivot = Atom.of(pivot_name, *args)
                         first = HornClause(
                             c.head, (pivot,) + tuple(c.body[p] for p in a_pos))
@@ -238,14 +236,14 @@ def test_pruned_cut_walk_matches_the_unpruned_walk():
             counts[min(m.bit_count() + h, 5)] += 1
         policies = (False, True) if c.body_size <= 5 else (False,)
         for build in CLASSES.values():
-            frag = build(c.max_arity(), c.body_size)
-            for arity_cap in (1, 2, 3):
+            for arity in (1, 2, 3):
+                frag = build(arity, c.body_size)
                 for overlap in (0, 1, 2):
                     for exhaustive in policies:
-                        args = (c, frag, arity_cap, overlap, exhaustive)
+                        args = (c, frag, overlap, exhaustive)
                         got = list(_cut_premises(*args))
                         assert got == list(reference_cut_premises(*args)), \
-                            (str(c), arity_cap, overlap, exhaustive)
+                            (str(c), arity, overlap, exhaustive)
                         candidates += len(got)
     assert all(counts.values()), counts
     assert candidates > 10000

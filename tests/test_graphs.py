@@ -10,14 +10,30 @@ from hornreduce.fragments import enumerate_fragment, horn, horn_2c, horn_c
 from hornreduce.graphs import (
     ClauseGraph,
     LabeledEdge,
+    _adjacency,
+    _bfs_edges,
     clause_graph,
     find_light_pair,
     is_connected,
-    pair_outgoing_labels,
 )
 from hornreduce.reduction import hnr_family
 
 from conftest import c_base, c_triadic, cl
+
+
+def bfs_spanning_tree(graph: ClauseGraph, root: int = 0):
+    """The breadth-first spanning tree ``find_light_pair`` scans from
+    ``root``, or None when the graph is disconnected: each vertex, in the
+    order reached, takes the edges to vertices not yet reached in edge
+    order."""
+    ids = _bfs_edges(_adjacency(graph.edges, graph.vertex_count), root)
+    return None if ids is None else tuple(graph.edges[k] for k in ids)
+
+
+def pair_outgoing_labels(tree, u: int, v: int) -> frozenset[str]:
+    """Distinct labels on tree edges with exactly one endpoint in ``{u, v}``."""
+    pair = {u, v}
+    return frozenset(e.var for e in tree if (e.u in pair) != (e.v in pair))
 
 
 def kirchhoff_tree_count(graph: ClauseGraph) -> int:
@@ -151,12 +167,12 @@ def test_bfs_tree_is_spanning_tree():
     for c in [path_clause(), c_base(), c_triadic()]:
         g = clause_graph(c)
         for root in range(g.vertex_count):
-            tree = g.bfs_spanning_tree(root)
+            tree = bfs_spanning_tree(g, root)
             assert tree is not None and valid_spanning_tree(g, tree)
 
 
 def test_bfs_tree_none_when_disconnected():
-    assert clause_graph(cl("P(x) :- Q(y).")).bfs_spanning_tree() is None
+    assert bfs_spanning_tree(clause_graph(cl("P(x) :- Q(y)."))) is None
 
 
 def test_enumeration_matches_kirchhoff():
@@ -194,7 +210,7 @@ def test_path_graph_has_unique_tree():
 
 def test_outgoing_labels_on_path():
     g = clause_graph(path_clause())
-    tree = g.bfs_spanning_tree()
+    tree = bfs_spanning_tree(g)
     assert pair_outgoing_labels(tree, 1, 2) == frozenset({"x1"})
     assert pair_outgoing_labels(tree, 3, 4) == frozenset({"x2"})
     assert pair_outgoing_labels(tree, 2, 4) == frozenset({"x4", "x5"})
@@ -276,7 +292,7 @@ def test_edges_bfs_trees_and_light_pairs_are_pinned():
         g = clause_graph(c)
         digest.update(repr(g.edges).encode())
         for root in range(g.vertex_count):
-            digest.update(repr(g.bfs_spanning_tree(root)).encode())
+            digest.update(repr(bfs_spanning_tree(g, root)).encode())
         for cap in (1, 2, 3):
             lp = find_light_pair(g, cap)
             key = None if lp is None else (lp.u, lp.v, lp.tree,
@@ -303,7 +319,7 @@ def scanned_light_pair(graph: ClauseGraph, max_labels: int):
                   if len(labels) <= max_labels]
         return min(ranked, key=lambda r: r[0], default=None)
 
-    trees = [graph.bfs_spanning_tree(root) for root in range(n)]
+    trees = [bfs_spanning_tree(graph, root) for root in range(n)]
     if None in trees:
         return None
     found = min(filter(None, map(best, trees)), key=lambda r: r[0],
@@ -312,6 +328,44 @@ def scanned_light_pair(graph: ClauseGraph, max_labels: int):
         found = next(filter(None, map(best, graph.all_spanning_trees())),
                      None)
     return None if found is None else found[1]
+
+
+def random_connected_clause(rng: random.Random) -> HornClause:
+    """A connected headed clause of 2-7 body atoms of arity 1-3 whose
+    predicates and arguments may repeat."""
+    arity = {f"P{k}": rng.randint(1, 3) for k in range(4)}
+    names = [f"x{k}" for k in range(rng.randint(1, 6))]
+
+    def atom():
+        p = rng.choice(sorted(arity))
+        return Atom.of(p, *rng.choices(names, k=arity[p]))
+
+    while True:
+        c = HornClause(atom(), tuple(atom() for _ in range(rng.randint(2, 7))))
+        if is_connected(c):
+            return c
+
+
+def test_head_rooted_tree_always_has_a_light_pair(monkeypatch, corpus_c24,
+                                                  corpus_c33):
+    # The theorem spanning_tree_split rests on: at the clause's own arity,
+    # the breadth-first tree rooted at the head has a light pair, so the
+    # exhaustive tree search is never reached.
+    def never(self):
+        raise AssertionError("exhaustive spanning-tree search reached")
+
+    monkeypatch.setattr(ClauseGraph, "all_spanning_trees", never)
+    rng = random.Random(37)
+    members = [c for c in (*corpus_c24, *corpus_c33) if c.body_size >= 2]
+    randoms = [random_connected_clause(rng) for _ in range(20000)]
+    assert len(members) == 11583
+    assert {len(set(a.pred for a in c.body)) < c.body_size
+            for c in randoms} == {False, True}
+    assert any(len(set(a.args)) < len(a.args)
+               for c in randoms for a in c.body)
+    for c in members + randoms:
+        lp = find_light_pair(clause_graph(c), c.max_arity())
+        assert lp is not None and len(lp.labels) <= c.max_arity(), str(c)
 
 
 def chain_clause(n: int) -> HornClause:

@@ -192,18 +192,51 @@ def test_nonred_extend_grows_body_by_three_and_keeps_structure():
 
 def test_nonred_extend_validates_input():
     c = c_base()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the two extended atoms must be "
+                                         "distinct$"):
         nonred_extend(c, 1, 1)
     with pytest.raises(IndexError):
         nonred_extend(c, 0, 9)
-    with pytest.raises(ValueError):
-        nonred_extend(triadic_counterexample(), 0, 1)  # not dyadic
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^both extended atoms must be dyadic$"):
+        nonred_extend(triadic_counterexample(), 0, 1)
+    share_one = "^the extended atoms must share exactly one variable$"
+    with pytest.raises(ValueError, match=share_one):
         nonred_extend(c, 0, 3)  # P1(x1,x3) and P4(x2,x4) share nothing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=share_one):
         nonred_extend(cl("P0(a) :- P1(a,b), P2(b,a)."), 0, 1)  # share both
-    with pytest.raises(ValueError):
-        nonred_extend(cl("P0(a) :- P1(a,a), P2(a,b)."), 0, 1)  # repeated arg
+    with pytest.raises(ValueError, match="^both extended atoms need two "
+                                         "distinct arguments$"):
+        nonred_extend(cl("P0(a) :- P1(a,a), P2(a,b)."), 0, 1)
+
+
+def random_dyadic_clause(rng: random.Random) -> HornClause:
+    """A headed clause of 2-6 dyadic body atoms over a few variables, so
+    that atoms share none, one or both of their arguments or repeat one."""
+    names = [f"x{k}" for k in range(rng.randint(2, 5))]
+    body = tuple(Atom.of(f"P{k}", *rng.choices(names, k=2))
+                 for k in range(1, rng.randint(3, 7)))
+    return HornClause(Atom.of("P0", *rng.choices(names, k=2)), body)
+
+
+def test_extension_pairs_are_the_pairs_nonred_extend_accepts():
+    rng = random.Random(41)
+    clauses = [*hnr_family(0), *hnr_family(1), triadic_counterexample(),
+               *(random_dyadic_clause(rng) for _ in range(300))]
+    outcomes = set()
+    for c in clauses:
+        pairs = extension_pairs(c)
+        for i, j in itertools.product(range(c.body_size), repeat=2):
+            try:
+                nonred_extend(c, i, j)
+                accepted = True
+            except ValueError as exc:
+                accepted = False
+                outcomes.add(str(exc))
+            assert ((i, j) in pairs) == accepted, (str(c), i, j)
+            outcomes.add(accepted)
+    # every refusal, and acceptance, is met
+    assert len(outcomes) == 6, outcomes
 
 
 def test_hnr_family_depth_zero_is_base_clause():
@@ -262,25 +295,25 @@ def test_hnr_family_rejects_negative_depth():
 # Inverse candidates: the SLD cut hits of the partition method
 # ---------------------------------------------------------------------------
 
-def cut_proofs(c, arity_cap, fragment):
+def cut_proofs(c, fragment):
     """Proofs of every one-step SLD split of ``c`` the partition method
-    verifies, in cut order."""
+    verifies, in cut order; the class arity caps the pivot."""
     return [_closed_proof(hit, c)
-            for hit in _cut_hits(c, fragment, arity_cap, KIND_SLD, 0, False)]
+            for hit in _cut_hits(c, fragment, KIND_SLD, 0, False)]
 
 
 def test_inverse_candidates_empty_for_base_clause_at_cap_two():
-    assert cut_proofs(c_base(), 2, horn_2c(2, 5)) == []
+    assert cut_proofs(c_base(), horn_2c(2, 5)) == []
 
 
 def test_inverse_candidates_empty_for_triadic_at_cap_three():
     t = triadic_counterexample()
-    assert cut_proofs(t, 3, horn_2c(3, 3)) == []
+    assert cut_proofs(t, horn_2c(3, 3)) == []
 
 
 def test_inverse_candidates_triadic_found_at_cap_four():
     t = triadic_counterexample()
-    found = cut_proofs(t, 4, horn_2c(4, 3))
+    found = cut_proofs(t, horn_2c(4, 3))
     assert found
     proof = found[0]
     assert proof.steps[0].pivot.pred.arity == 4
@@ -290,7 +323,7 @@ def test_inverse_candidates_triadic_found_at_cap_four():
 
 def test_inverse_candidates_chain_clause_found_at_cap_one():
     c3 = cl("P0(a) :- P1(a), P2(a), P3(a).")
-    found = cut_proofs(c3, 1, horn_c(1, 3))
+    found = cut_proofs(c3, horn_c(1, 3))
     assert found
     for proof in found:
         assert proof.steps[0].pivot.pred.arity == 1
@@ -303,7 +336,7 @@ def test_inverse_candidates_are_sound_over_small_corpus(corpus_c23):
     for c in corpus_c23:
         if c.body_size < 3:
             continue
-        for proof in cut_proofs(c, frag.max_arity, frag):
+        for proof in cut_proofs(c, frag):
             c1, c2 = proof.inputs
             assert c1.body_size < c.body_size
             assert c2.body_size < c.body_size

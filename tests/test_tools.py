@@ -65,6 +65,28 @@ def test_code_lines_without_arguments_exits_64():
     assert "Usage" in proc.stderr
 
 
+def test_code_lines_rejects_bad_arguments_without_a_traceback(tmp_path):
+    # --help prints the usage; an unknown option or a missing path is a
+    # one-line error, with or without --against.
+    missing = str(tmp_path / "missing.py")
+    cases = [(["--help"], "Usage"), (["-h"], "Usage"),
+             (["--bogus"], "code_lines: unknown option: --bogus\n"),
+             ([missing], f"code_lines: no such file or directory: {missing}\n"),
+             (["--against", "HEAD", missing],
+              f"code_lines: no such file or directory: {missing}\n")]
+    for args, err in cases:
+        proc = subprocess.run(
+            [sys.executable, str(TOOLS / "code_lines.py"), *args],
+            capture_output=True, text=True)
+        assert proc.returncode == 64, args
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        if err == "Usage":
+            assert "Usage" in proc.stderr
+        else:
+            assert proc.stderr == err
+
+
 def test_code_lines_against_a_commit(tmp_path, monkeypatch, capsys):
     # A temporary repository: pkg/a.py grows by a line after the commit,
     # pkg/b.py is deleted and pkg/c.py is new.

@@ -11,6 +11,9 @@ The first form prints one ``<lines>  <path>`` row per module, then the
 total.  The second, run inside a git checkout, prints ``<before> <after>
 <delta>  <path>`` rows, reading the modules under the same paths at commit
 ``REF`` through ``git show``; a module missing on one side counts 0.
+Without a path, or with ``--help``, prints this text to stderr; an
+unknown option or a path that does not exist is a one-line error.  Both
+exit 64.
 """
 
 from __future__ import annotations
@@ -79,9 +82,15 @@ def main(argv: list[str]) -> int:
     ref = None
     if argv[:1] == ["--against"]:
         ref, argv = (argv[1] if len(argv) > 1 else None), argv[2:]
-    if not argv:
+    if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip(), file=sys.stderr)
         return 64
+    for arg in argv:
+        if arg.startswith("-") or not Path(arg).exists():
+            what = "unknown option" if arg.startswith("-") \
+                else "no such file or directory"
+            print(f"code_lines: {what}: {arg}", file=sys.stderr)
+            return 64
     after = {str(p) if ref is None else os.path.relpath(p): code_lines(p)
              for p in modules(argv)}
     if ref is None:

@@ -12,7 +12,9 @@ lines (a standard-mode proof, the partition decider's and the forward
 oracle's sld witnesses for one clause, the first depth-2 extension family
 member in sld and a 12-literal open chain in standard mode, both
 irreducible after the whole cut walk), one ``enumerate --json`` of a
-two-connected fragment and one ``derive`` that prints a proof.
+two-connected fragment, the depth-1 extension family of the base clause,
+the forward oracle's standard-mode proof of the base clause (a pool scan
+with a factoring chain) and one ``derive`` that prints a proof.
 Prints a ``mismatch`` row per command line whose exit code or stdout
 differs, then ``<mismatches>/<compared>``, and exits 1 on any mismatch,
 0 when there is none.
@@ -27,6 +29,9 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from keydiff import run_against  # noqa: E402
 
+# The dyadic base clause, ``hornreduce.reduction.c_base``.
+C_BASE = ("P0(x1,x2) :- P1(x1,x3), P2(x1,x4), P3(x2,x3), P4(x2,x4), "
+          "P5(x3,x4).")
 # The theory file of the ``derive`` line, whose argv names it THEORY.
 THEORY = "P0(x) :- P1(x).\nP0(x) :- P1(x), P2(x).\n"
 ARGV = [
@@ -34,8 +39,8 @@ ARGV = [
     for fragment in ("2,2,c", "3,1,2c", "2,2,2c", "1,4,c", "1,3,c", "2,3,c")
     for mode in ("sld", "standard")
 ] + [
-    ["check", "--clause", "P0(x1,x2) :- P1(x1,x3), P2(x1,x4), P3(x2,x3), "
-     "P4(x2,x4), P5(x3,x4).", "--mode", "standard", "--fragment-class", "c"],
+    ["check", "--clause", C_BASE, "--mode", "standard", "--fragment-class",
+     "c"],
 ] + [
     ["check", "--clause", "P0(x1,x2) :- P1(x1,x2), P2(x2,x3), P3(x3,x1).",
      "--mode", "sld", "--fragment-class", "c"] + method
@@ -50,6 +55,9 @@ ARGV = [
 ] + [
     ["enumerate", "--arity", "2", "--body", "3", "--two-connected",
      "--most-general", "--json"],
+    ["extend", "--clause", C_BASE, "--depth", "1"],
+    ["check", "--clause", C_BASE, "--mode", "standard",
+     "--fragment-class", "c", "--method", "forward"],
     # last: tests/test_tools.py runs ARGV[-1], which reads THEORY
     ["derive", "--theory", "THEORY", "--goal",
      "P0(z) :- P1(z), P2(z), P3(z), P4(z).", "--max-depth", "2",
