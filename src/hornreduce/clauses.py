@@ -207,11 +207,21 @@ class Substitution:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Substitution":
+        """Read :meth:`to_json_dict`'s form back; a malformed ``preds`` or
+        ``terms`` field is a ValueError that names it."""
+        preds, terms = data.get("preds", {}), data.get("terms", {})
+        if type(preds) is not dict or any(
+                type(v) is not list or [*map(type, v)] != [str, int]
+                for v in preds.values()):
+            raise ValueError(
+                f"unifier 'preds' is not a map to [name, arity] pairs: {preds!r}")
+        if type(terms) is not dict or any(
+                type(v) is not str for v in terms.values()):
+            raise ValueError(
+                f"unifier 'terms' is not a map to term names: {terms!r}")
         return Substitution(
             {PredVar(k, ar): PredVar(name, ar)
-             for k, (name, ar) in data.get("preds", {}).items()},
-            data.get("terms", {}),
-        )
+             for k, (name, ar) in preds.items()}, terms)
 
 
 def apply_substitution(clause: HornClause, sub: Substitution) -> HornClause:
@@ -576,74 +586,45 @@ def rename_apart(c: HornClause, avoid_terms: Iterable[str] = (),
 # Text format
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(:-|[(),.]|[A-Za-z][A-Za-z0-9_]*)")
+# One atom and the separator after it, if any.  The text has no nesting, so
+# one pattern reads a clause left to right.  An identifier is never followed
+# by an identifier character, so a failed match backtracks at most linearly.
+_ATOM_RE = re.compile(
+    r"\s*([A-Z][A-Za-z0-9_]*)\s*\(\s*([a-z][A-Za-z0-9_]*"
+    r"(?:\s*,\s*[a-z][A-Za-z0-9_]*)*)\s*\)\s*(:-|,|\.)?")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ClauseParseError(f"unexpected input at {rest[:20]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _Tokens:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expect: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ClauseParseError("unexpected end of clause")
-        if expect is not None and tok != expect:
-            raise ClauseParseError(f"expected {expect!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-
-def _parse_atom(ts: _Tokens) -> Atom:
-    name = ts.take()
-    if not name[0].isupper():
-        raise ClauseParseError(f"predicate identifier must start uppercase: {name!r}")
-    ts.take("(")
-    args = [ts.take()]
-    while ts.peek() == ",":
-        ts.take(",")
-        args.append(ts.take())
-    ts.take(")")
-    for arg in args:
-        if not (arg[0].islower() and arg[0].isalpha()):
-            raise ClauseParseError(f"term identifier must start lowercase: {arg!r}")
-    return Atom.of(name, *args)
+def _atom(m: re.Match) -> Atom:
+    """The atom of an ``_ATOM_RE`` match."""
+    return Atom.of(m[1], *(a.strip() for a in m[2].split(",")))
 
 
 def parse_clause(text: str) -> HornClause:
-    """Parse ``H(..) :- B1(..), ... .`` (the body is optional)."""
-    ts = _Tokens(_tokenize(text))
-    head = _parse_atom(ts)
-    body: list[Atom] = []
-    if ts.peek() == ":-":
-        ts.take(":-")
-        body.append(_parse_atom(ts))
-        while ts.peek() == ",":
-            ts.take(",")
-            body.append(_parse_atom(ts))
-    ts.take(".")
-    if ts.peek() is not None:
-        raise ClauseParseError(f"trailing input after clause: {ts.peek()!r}")
+    """Parse clause text, which reads, up to whitespace,
+
+    ``clause = atom [":-" atom {"," atom}] "." ;  atom = Upper "(" lower {"," lower} ")" ;``
+
+    where ``Upper`` and ``lower`` are ASCII identifiers (letters, digits
+    and ``_``) that start with an upper- and a lowercase letter.
+    """
+    atoms: list[Atom] = []
+    pos, sep = 0, ":-"
+    while True:
+        m = _ATOM_RE.match(text, pos)
+        if m is None or m[3] not in (sep, "."):
+            rest = text[pos:].strip()[:30]
+            raise ClauseParseError(
+                f"expected Upper(lower, ...) then {sep!r} or '.' at {rest!r}"
+                if rest else "unexpected end of clause")
+        atoms.append(_atom(m))
+        pos, sep = m.end(), ","
+        if m[3] == ".":
+            break
+    rest = text[pos:].strip()
+    if rest:
+        raise ClauseParseError(f"trailing input after clause: {rest[:30]!r}")
     try:
-        return HornClause(head, tuple(body))
+        return HornClause(atoms[0], tuple(atoms[1:]))
     except ArityMismatchError as exc:
         raise ClauseParseError(str(exc)) from None
 

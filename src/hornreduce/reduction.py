@@ -679,7 +679,8 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     the bounds.  Removal proofs are recomposed to replay from the core
     alone; a clause whose proof cannot be recomposed is reinstated (which
     never happens for the searches used here, but keeps the report sound)
-    and the passes run again.  A negative bound is a ValueError.
+    and the passes run again.  An unknown mode or a negative bound is a
+    ValueError.
 
     In ``sld`` mode at depth at most 1 one pass is already stable.  That
     search is complete and monotone in its premises: a clause it missed
@@ -688,7 +689,7 @@ def reduce_theory(theory: Theory | Iterable[HornClause], mode: str = "sld", *,
     the cap were never explored), so every clause a later pass would search
     has already set ``bounds_hit``, and that pass could change nothing.
     """
-    _check_bounds(max_depth, max_body, max_clauses)
+    _check_bounds(mode, max_depth, max_body, max_clauses)
     t = theory if isinstance(theory, Theory) else Theory(theory)
     bounds = {"max_depth": max_depth, "max_body": max_body,
               "max_clauses": max_clauses}
@@ -727,7 +728,7 @@ def reduce_fragment(fragment: FragmentSpec, mode: str = "sld", *,
                     max_depth: int = 1, max_body: int | None = None,
                     max_clauses: int | None = None) -> ReductionReport:
     """Reduce the full enumeration of a finite fragment."""
-    _check_bounds(max_depth, max_body, max_clauses)  # before enumerating
+    _check_bounds(mode, max_depth, max_body, max_clauses)  # before enumerating
     return reduce_theory(enumerate_fragment(fragment), mode,
                          max_depth=max_depth, max_body=max_body,
                          max_clauses=max_clauses)

@@ -307,9 +307,11 @@ class ClosureResult:
         return canonical_key(c) in self._reps
 
 
-def _check_bounds(max_depth: int, max_body: int | None,
+def _check_bounds(mode: str, max_depth: int, max_body: int | None,
                   max_clauses: int | None) -> None:
-    """ValueError when a search bound is negative."""
+    """ValueError when ``mode`` is unknown or a search bound is negative."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     for name, value in (("max_depth", max_depth), ("max_body", max_body),
                         ("max_clauses", max_clauses)):
         if value is not None and value < 0:
@@ -357,9 +359,7 @@ def closure(theory: Theory | Iterable[HornClause], max_depth: int, *,
     reached since the first pair, so a pair is skipped only while
     ``truncated`` is already set or the cap is not reached.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    _check_bounds(max_depth, max_body, max_clauses)
+    _check_bounds(mode, max_depth, max_body, max_clauses)
     if not isinstance(theory, Theory):
         theory = Theory(theory)
 
@@ -753,15 +753,13 @@ def search_derivation(theory: Theory | Iterable[HornClause], target: HornClause,
     Both early stages read one index of the members by shape; the
     one-step stage matches a candidate premise only against members whose
     pivot domains admit it, which every instance does, so it finds the
-    proof that matching all same-shape members finds.  A negative bound is
-    a ValueError.
+    proof that matching all same-shape members finds.  An unknown mode or
+    a negative bound is a ValueError.
 
     In ``standard`` mode the single-step search does not interleave
     factoring; derivations that need it are found by the forward levels.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    _check_bounds(max_depth, max_body, max_clauses)
+    _check_bounds(mode, max_depth, max_body, max_clauses)
     if not isinstance(theory, Theory):
         theory = Theory(theory)
     if len(theory) == 0:
@@ -868,10 +866,12 @@ def proof_from_json_dict(data: dict) -> Proof:
     """Rebuild a :class:`Proof` serialized by :func:`proof_to_json_dict`.
 
     Raises ValueError on a malformed record: a missing key, a field of the
-    wrong JSON type, or a premise reference that is not an ``["input", i]``
-    or ``["step", j]`` pair naming an existing input or an earlier step.
+    wrong JSON type, a pivot that is not exactly one atom, a unifier that
+    does not map names to names (and predicates to arities), or a premise
+    reference that is not an ``["input", i]`` or ``["step", j]`` pair
+    naming an existing input or an earlier step.
     """
-    from hornreduce.clauses import parse_clause
+    from hornreduce.clauses import _ATOM_RE, _atom, parse_clause
 
     def field(record, key: str, kind: type, optional: bool = False):
         if not isinstance(record, dict) or not (optional or key in record):
@@ -903,13 +903,13 @@ def proof_from_json_dict(data: dict) -> Proof:
         step_conclusion = parse_clause(field(entry, "conclusion", str))
         pivot = field(entry, "pivot", str, optional=True)
         if pivot is not None:
-            pivot = parse_clause(pivot + ".").head
+            m = _ATOM_RE.fullmatch(pivot)
+            if m is None or m[3]:
+                raise ValueError(f"proof record 'pivot' is not one atom: {pivot!r}")
+            pivot = _atom(m)
         unifier = field(entry, "unifier", dict, optional=True)
         if unifier is not None:
-            try:
-                unifier = Substitution.from_json_dict(unifier)
-            except (TypeError, AttributeError) as exc:
-                raise ValueError(f"malformed unifier: {exc}") from None
+            unifier = Substitution.from_json_dict(unifier)
         factor_indices = field(entry, "factor_indices", list, optional=True)
         if factor_indices is not None:
             if len(factor_indices) != 2 \

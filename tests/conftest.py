@@ -2,12 +2,16 @@
 
 import functools
 import itertools
+import random
+import re
 from typing import Iterator
 
 import pytest
 
 from hornreduce.clauses import (
+    ArityMismatchError,
     Atom,
+    ClauseParseError,
     HornClause,
     PredVar,
     Substitution,
@@ -80,6 +84,99 @@ def oracle_is_instance(c: HornClause, d: HornClause):
                 and len(dict(terms)) == len(terms)):
             return Substitution(dict(preds), dict(terms))
     return None
+
+
+# A token-level clause reader: a tokenizer, a token stream and a recursive
+# descent.  It reads the language ``parse_clause`` reads by other means, so
+# the tests compare the two.
+
+_TOKEN_RE = re.compile(r"\s*(:-|[(),.]|[A-Za-z][A-Za-z0-9_]*)")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ClauseParseError(f"unexpected input at {rest[:20]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+class _Tokens:
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expect: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ClauseParseError("unexpected end of clause")
+        if expect is not None and tok != expect:
+            raise ClauseParseError(f"expected {expect!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+
+def _oracle_parse_atom(ts: _Tokens) -> Atom:
+    name = ts.take()
+    if not name[0].isupper():
+        raise ClauseParseError(f"predicate identifier must start uppercase: {name!r}")
+    ts.take("(")
+    args = [ts.take()]
+    while ts.peek() == ",":
+        ts.take(",")
+        args.append(ts.take())
+    ts.take(")")
+    for arg in args:
+        if not (arg[0].islower() and arg[0].isalpha()):
+            raise ClauseParseError(f"term identifier must start lowercase: {arg!r}")
+    return Atom.of(name, *args)
+
+
+def oracle_parse_clause(text: str) -> HornClause:
+    """Parse ``H(..) :- B1(..), ... .`` (the body is optional)."""
+    ts = _Tokens(_tokenize(text))
+    head = _oracle_parse_atom(ts)
+    body: list[Atom] = []
+    if ts.peek() == ":-":
+        ts.take(":-")
+        body.append(_oracle_parse_atom(ts))
+        while ts.peek() == ",":
+            ts.take(",")
+            body.append(_oracle_parse_atom(ts))
+    ts.take(".")
+    if ts.peek() is not None:
+        raise ClauseParseError(f"trailing input after clause: {ts.peek()!r}")
+    try:
+        return HornClause(head, tuple(body))
+    except ArityMismatchError as exc:
+        raise ClauseParseError(str(exc)) from None
+
+
+_SOUP = ("P", "Q1", "Ab_2", "x", "y1", "z_", "(", ")", ",", ".", ":-", ":",
+         "-", "1", "_", " ", "  ", "\t", "\n", "\x1c", "\u00e9")
+
+
+def token_soup(rng: random.Random) -> str:
+    """Clause-like text: up to 12 random tokens (identifiers of both cases,
+    punctuation, digits, ``_``, whitespace including ``\\x1c``, and
+    ``\\u00e9``), or up to 2 of them spliced into a valid clause in place of
+    up to 2 of its characters."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 12)))
+    valid = "P0(x1,x2) :- P1(x1,x3), P2(x3,x2)."
+    cut = rng.randint(0, len(valid))
+    return (valid[:cut] + "".join(rng.choice(_SOUP) for _ in range(
+        rng.randint(0, 2))) + valid[cut + rng.randint(0, 2):])
 
 
 def oracle_cut_pending(c: HornClause, body_indices):

@@ -39,6 +39,8 @@ from conftest import (
     cl,
     oracle_canonical_key,
     oracle_is_instance,
+    oracle_parse_clause,
+    token_soup,
 )
 
 
@@ -628,6 +630,34 @@ def test_parse_errors():
                 "P(x,y) :- P(x).", "P(x) :- Q(x,.", ""]:
         with pytest.raises(ClauseParseError):
             parse_clause(bad)
+
+
+def test_parse_reads_the_language_of_the_token_reader():
+    # against the token-level reader in conftest: the same texts accepted,
+    # each read as the same clause
+    def read(parse, text):
+        try:
+            return parse(text)
+        except ClauseParseError:
+            return None
+
+    rng = random.Random(43)
+    for _ in range(50_000):
+        text = token_soup(rng)
+        assert read(parse_clause, text) == read(oracle_parse_clause, text), text
+
+
+def test_parse_round_trips_fragment_members_and_a_long_chain(corpus_c23):
+    for c in (*corpus_c23, open_chain(1000)):
+        assert parse_clause(c.text()) == c
+
+
+@pytest.mark.parametrize("text", ["P(" + "x," * 50_000,
+                                  "P(x) :- " + "Q(x), " * 20_000],
+                         ids=["open-argument-list", "open-body"])
+def test_parse_rejects_long_unfinished_text(text):
+    with pytest.raises(ClauseParseError):
+        parse_clause(text)
 
 
 def test_parse_theory_lines_and_comments():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from hornreduce.resolution import (
     unify_onto,
 )
 
-from conftest import cl
+from conftest import cl, token_soup
 
 
 def write_chain_theory(tmp_path, length=3):
@@ -416,6 +417,17 @@ def test_graph_dot_output():
     assert out.rstrip().endswith("}")
     assert 'v0 -- v1 [label="a"];' in out
     assert 'role="head"' in out
+
+
+def test_graph_is_total_on_clause_text():
+    # every text either reads as a clause or is a parse error with no
+    # output; "--clause=" keeps a text that starts with "-" an argument
+    rng = random.Random(47)
+    for _ in range(1_000):
+        text = token_soup(rng)
+        code, out, _ = run(["graph", f"--clause={text}"])
+        assert code in (0, 65), text
+        assert code == 0 or out == "", text
 
 
 # ---------------------------------------------------------------------------

@@ -803,6 +803,23 @@ def test_reduce_rejects_negative_bounds(bound):
         reduce_fragment(horn_c(1, 3), **{bound: -1})
 
 
+def test_reduce_rejects_an_unknown_mode_before_any_work(monkeypatch):
+    # before, a theory of one clause or none came back as a report with the
+    # unknown mode, and reduce_fragment enumerated before it noticed
+    for theory in ([], [cl("P0(x) :- P1(x).")],
+                   [cl("P0(x) :- P1(x)."), cl("P0(x) :- P1(x), P2(x).")]):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            reduce_theory(theory, mode="bogus")
+
+    def enumerate_fragment(spec):
+        raise AssertionError("enumerated before checking the mode")
+
+    monkeypatch.setattr(hornreduce.reduction, "enumerate_fragment",
+                        enumerate_fragment)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        reduce_fragment(horn_c(1, 3), mode="bogus")
+
+
 def test_reduce_fragment_smallest_connected_fragment():
     report = reduce_fragment(horn_c(1, 3))
     assert len(report.core) == 2

@@ -663,6 +663,11 @@ def test_search_derivation_rejects_negative_bounds(bound):
         search_derivation([], chain3(), **{bound: -1})
 
 
+def test_search_derivation_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        search_derivation([], chain3(), mode="bogus")
+
+
 def test_single_step_candidates_resolve_back():
     rng = random.Random(31)
     target = cl("P(x,y) :- Q(x,z), R(z,y), S(x).")
@@ -857,6 +862,25 @@ def tampered_cbase_record(edit):
 def test_proof_json_rejects_malformed_record(edit):
     with pytest.raises(ValueError):
         proof_from_json_dict(tampered_cbase_record(edit))
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("pivot", "H(x2,x4) :- Zz(q)", "'pivot'"),
+    ("pivot", "H(x2,x4).", "'pivot'"),
+    ("unifier", {"terms": {"x": 5}}, "'terms'"),
+    ("unifier", {"terms": ["x"]}, "'terms'"),
+    ("unifier", {"preds": {"A": ["B", "x"]}}, "'preds'"),
+    ("unifier", {"preds": {"A": ["B", 2, 3]}}, "'preds'"),
+    ("unifier", {"preds": {"A": "B"}}, "'preds'"),
+], ids=["pivot-with-body", "pivot-with-period", "int-term-image",
+        "list-terms", "string-arity", "three-element-pred-image",
+        "string-pred-image"])
+def test_proof_json_names_the_malformed_field(field, value, name):
+    # before, these read back as a pivot of a clause's head, a term mapped
+    # to an int, a predicate of arity "x" and an unpacking error
+    with pytest.raises(ValueError, match=name):
+        proof_from_json_dict(tampered_cbase_record(
+            lambda d: d["steps"][0].__setitem__(field, value)))
 
 
 @pytest.mark.parametrize("edit", [

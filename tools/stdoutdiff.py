@@ -14,7 +14,9 @@ member in sld and a 12-literal open chain in standard mode, both
 irreducible after the whole cut walk), one ``enumerate --json`` of a
 two-connected fragment, the depth-1 extension family of the base clause,
 the forward oracle's standard-mode proof of the base clause (a pool scan
-with a factoring chain) and one ``derive`` that prints a proof.
+with a factoring chain), two ``check`` lines that read clause text (one
+with tabs and no spaces, one that is no clause) and one ``derive`` that
+prints a proof: 23 command lines.
 Prints a ``mismatch`` row per command line whose exit code or stdout
 differs, then ``<mismatches>/<compared>``, and exits 1 on any mismatch,
 0 when there is none.
@@ -58,6 +60,10 @@ ARGV = [
     ["extend", "--clause", C_BASE, "--depth", "1"],
     ["check", "--clause", C_BASE, "--mode", "standard",
      "--fragment-class", "c", "--method", "forward"],
+    # clause text with tabs and no spaces around ":-" and the commas, and
+    # text that is not a clause (exit 65, empty stdout)
+    ["check", "--clause", "P0(x1,x2):-P1(x1,x3),\tP2(x2,x3),P3(x3,x1)."],
+    ["check", "--clause", "P0(x1) :- P1(x1,."],
     # last: tests/test_tools.py runs ARGV[-1], which reads THEORY
     ["derive", "--theory", "THEORY", "--goal",
      "P0(z) :- P1(z), P2(z), P3(z), P4(z).", "--max-depth", "2",
